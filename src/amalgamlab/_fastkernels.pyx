@@ -91,28 +91,3 @@ def orbit_transversal(list gens, Py_ssize_t base, Py_ssize_t degree):
                 transversal[image] = compose(u, g)
                 orbit.append(image)
     return orbit, transversal
-
-
-def closure(seed, Py_ssize_t cap):
-    if not seed:
-        return None
-    degree = len(next(iter(seed)))
-    ident = tuple(range(degree))
-    cdef list gens = [t for t in seed if t != ident]
-    cdef set els = set(gens)
-    els.add(ident)
-    cdef list frontier = list(gens)
-    cdef list new
-    cdef tuple a, g, c
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gens:
-                c = compose(a, g)
-                if c not in els:
-                    els.add(c)
-                    new.append(c)
-                    if len(els) > cap:
-                        return None
-        frontier = new
-    return els

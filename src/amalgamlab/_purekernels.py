@@ -87,31 +87,3 @@ def orbit_transversal(gens, base, degree):
                 transversal[image] = compose(u, g)
                 orbit.append(image)
     return orbit, transversal
-
-
-def closure(seed, cap):
-    """Multiplicative closure of a set of image tuples.
-
-    Returns the closed set including the identity, or None when its size
-    would exceed cap.
-    """
-    if not seed:
-        return None
-    degree = len(next(iter(seed)))
-    ident = tuple(range(degree))
-    gens = [t for t in seed if t != ident]
-    els = set(gens)
-    els.add(ident)
-    frontier = list(gens)
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gens:
-                c = compose(a, g)
-                if c not in els:
-                    els.add(c)
-                    new.append(c)
-                    if len(els) > cap:
-                        return None
-        frontier = new
-    return els

@@ -355,26 +355,14 @@ def permutation_isomorphism(
 
 def _induced_on_set(group: PermGroup, points: tuple[int, ...]) -> ActionHom:
     position = {p: i for i, p in enumerate(points)}
+    images = []
     for g in group.gen_images():
         if any(g[p] not in position for p in points):
             raise ConstructionError(
                 "point set is not invariant under the group"
             )
-
-    def restrict(g: Permutation) -> Permutation:
-        if g not in group:
-            raise ConstructionError("element outside the acting group")
-        return Permutation._raw(
-            tuple(position[g.images[p]] for p in points)
-        )
-
-    return ActionHom(
-        source=group,
-        target_degree=len(points),
-        generator_images=tuple(restrict(g) for g in group.generators),
-        _apply=restrict,
-        _kernel_thunk=lambda: group.pointwise_stabilizer(points),
-    )
+        images.append(Permutation._raw(tuple(position[g[p]] for p in points)))
+    return ActionHom(group, len(points), images)
 
 
 def _induced_on_partition(
@@ -391,51 +379,18 @@ def _induced_on_partition(
             block_of[p] = i
     if any(i == -1 for i in block_of):
         raise ConstructionError("blocks must cover the whole domain")
-
-    def on_blocks(g: Permutation) -> Permutation:
-        if g not in group:
-            raise ConstructionError("element outside the acting group")
-        images = []
+    images = []
+    for g in group.gen_images():
+        row = []
         for block in blocks:
-            targets = {block_of[g.images[p]] for p in block}
+            targets = {block_of[g[p]] for p in block}
             if len(targets) != 1:
                 raise ConstructionError(
                     "partition is not invariant under the group"
                 )
-            images.append(targets.pop())
-        return Permutation(images)
-
-    generator_images = tuple(on_blocks(g) for g in group.generators)
-    k = len(blocks)
-
-    def kernel() -> PermGroup:
-        # Adjoin one point per block and take the pointwise stabilizer of
-        # the new points: exactly the elements fixing every block setwise.
-        combined = PermGroup(
-            (
-                Permutation._raw(
-                    g.images + tuple(n + h[j] for j in range(k))
-                )
-                for g, h in zip(group.generators, generator_images)
-            ),
-            degree=n + k,
-        )
-        fixer = combined.pointwise_stabilizer(range(n, n + k))
-        return PermGroup(
-            (
-                Permutation._raw(g.images[:n])
-                for g in fixer.generators
-            ),
-            degree=n,
-        )
-
-    return ActionHom(
-        source=group,
-        target_degree=k,
-        generator_images=generator_images,
-        _apply=on_blocks,
-        _kernel_thunk=kernel,
-    )
+            row.append(targets.pop())
+        images.append(Permutation(row))
+    return ActionHom(group, len(blocks), images)
 
 
 def induced_action(group: PermGroup, domain) -> ActionHom:

@@ -335,27 +335,13 @@ def inflate_amalgam(
         )
     witness_inv = kernels.inverse(witness)
 
-    # L together with its block action, for computing lifts of block
-    # permutations back into L (optionally pinning a fixed point).
-    k = len(blocks)
-    combined = PermGroup(
-        (
-            Permutation._raw(
-                g.images
-                + tuple(n + block_hom.apply(g).images[j] for j in range(k))
-            )
-            for g in base.generators
-        ),
-        degree=n + k,
-    )
-
     def lift(block_perm: tuple, fix: int | None) -> Permutation:
-        mapping = {n + j: n + block_perm[j] for j in range(k)}
-        if fix is not None:
-            mapping[fix] = fix
-        whole = combined.element_with_images(mapping)
-        assert whole is not None, "lift must exist by construction"
-        return Permutation._raw(whole.images[:n])
+        """An element of L inducing block_perm; with ``fix``, the unique one
+        fixing that point (S is semiregular and a block is an S-orbit)."""
+        whole = block_hom.preimage(Permutation._raw(block_perm))
+        if fix is None:
+            return whole
+        return whole * seed.transporter(whole[fix], fix)
 
     def transport(h: Permutation) -> tuple:
         """Image of an H_x element: local quotient, then the isomorphism."""

@@ -10,6 +10,7 @@ or guard errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from math import factorial
 from pathlib import Path
@@ -59,6 +60,12 @@ def _parse_n_range(text: str) -> list[int]:
             raise ValueError(f"empty range {text!r}")
         return list(range(start, stop + 1))
     return [int(text)]
+
+
+def _at_least(value: int, low: int, flag: str) -> None:
+    """Reject a bound that would make a reported series empty."""
+    if value < low:
+        raise ValueError(f"{flag} must be at least {low}, got {value}")
 
 
 def _load_instance(source: str) -> PairInstance:
@@ -200,6 +207,7 @@ def _cmd_graph_autos(args: argparse.Namespace) -> list[Report]:
 
 
 def _cmd_graph_balls(args: argparse.Namespace) -> list[Report]:
+    _at_least(args.radius, 0, "--radius")
     inst = _load_instance(args.source)
     series = stabilizer_series(inst, args.x, args.radius)
     report = Report(
@@ -329,6 +337,7 @@ def _cmd_amalgam_faithful(args: argparse.Namespace) -> list[Report]:
 
 
 def _cmd_amalgam_cores(args: argparse.Namespace) -> list[Report]:
+    _at_least(args.depth, 1, "--depth")
     inst = _load_instance(args.source)
     x, y = _instance_edge(inst, _parse_edge(args.edge))
     amalgam = amalgam_from_pair(inst, x, y)
@@ -356,6 +365,7 @@ def _cmd_amalgam_cores(args: argparse.Namespace) -> list[Report]:
 
 
 def _cmd_construct_section4(args: argparse.Namespace) -> list[Report]:
+    _at_least(args.depth, 1, "--depth")
     certificate = _section4_pipeline(args.h)
     report = verify_inflation(certificate, depth=args.depth)
     report.inputs["h_source"] = args.h
@@ -530,13 +540,19 @@ def cli_dispatch(argv: list[str] | None = None) -> int:
     except (AmalgamlabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for i, report in enumerate(reports):
-        if args.json:
-            print(report.to_json())
-        else:
-            if i:
-                print()
-            print(report.human())
+    try:
+        for i, report in enumerate(reports):
+            if args.json:
+                print(report.to_json())
+            else:
+                if i:
+                    print()
+                print(report.human())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early (`| head`).  Send what is still buffered to
+        # the null device so the interpreter's final flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return max((r.exit_code for r in reports), default=0)
 
 

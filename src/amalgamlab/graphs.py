@@ -463,7 +463,7 @@ def coset_graph(
     assert base_edge[1] != 0
     edges = {base_edge}
     queue = [base_edge]
-    gen_images = [action.apply(g).images for g in group.generators]
+    gen_images = [h.images for h in action.generator_images]
     while queue:
         u, v = queue.pop()
         for img in gen_images:

@@ -16,6 +16,7 @@ labelings and enumeration orders.  All arithmetic is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import kernels
@@ -226,6 +227,29 @@ class _Chain:
                 for l in range(deepest, i, -1):
                     self._process(l)
 
+    def force(self, mapping: dict) -> tuple | None:
+        """The element sending every key of mapping to its value, or None.
+
+        The chain's base must start with the keys.  At each level whose
+        base is a key, the transversal entry hitting the (adjusted) target
+        is forced, so the result is canonical; keys that the remaining
+        level group fixes must already sit on their targets.
+        """
+        current = dict(mapping)
+        acc = self._identity
+        for lvl in self.levels:
+            if lvl.base not in current:
+                break
+            u = lvl.transversal.get(current.pop(lvl.base))
+            if u is None:
+                return None
+            acc = kernels.compose(u, acc)
+            u_inv = kernels.inverse(u)
+            current = {p: u_inv[t] for p, t in current.items()}
+        if any(p != t for p, t in current.items()):
+            return None
+        return acc
+
     def base(self) -> list[int]:
         return [lvl.base for lvl in self.levels]
 
@@ -380,30 +404,16 @@ class PermGroup:
     def element_with_images(self, mapping: dict) -> Permutation | None:
         """A deterministic element sending every key to its value, or None.
 
-        Walks a stabilizer chain whose base starts with the prescribed
-        points: at each level the transversal entry hitting the (adjusted)
-        target is forced, so the result is canonical; points that the
-        prefix stabilizer fixes must already sit on their targets.
+        Forced walk (``_Chain.force``) down a stabilizer chain whose base
+        starts with the prescribed points.
         """
         if not mapping:
             return Permutation.identity(self._degree)
         for p, q in mapping.items():
             self._check_point(p)
             self._check_point(q)
-        chain, cut = self._prefix_chain(list(mapping))
-        current = dict(mapping)
-        acc = tuple(range(self._degree))
-        for lvl in chain.levels[:cut]:
-            q = current.pop(lvl.base)
-            u = lvl.transversal.get(q)
-            if u is None:
-                return None
-            acc = kernels.compose(u, acc)
-            u_inv = kernels.inverse(u)
-            current = {p: u_inv[t] for p, t in current.items()}
-        if any(p != t for p, t in current.items()):
-            return None
-        return Permutation._raw(acc)
+        img = self._prefix_chain(list(mapping))[0].force(mapping)
+        return Permutation._raw(img) if img is not None else None
 
     def is_transitive(self) -> bool:
         return self._degree > 0 and len(self.orbit(0)) == self._degree
@@ -684,78 +694,89 @@ class PermGroup:
         reps = [start]
         labels = {start: 0}
         gen_imgs = self.gen_images()
+        # rows[k][i] is the label of coset i times generator k.
+        rows: list[list[int]] = [[] for _ in gen_imgs]
         head = 0
         while head < len(reps):
             rep = reps[head]
             head += 1
-            for g in gen_imgs:
+            for row, g in zip(rows, gen_imgs):
                 image = self.coset_rep(sub_chain, kernels.compose(rep, g))
                 if image not in labels:
                     labels[image] = len(reps)
                     reps.append(image)
+                row.append(labels[image])
         if len(reps) != index:
             raise ConstructionError(
                 f"coset walk found {len(reps)} cosets, expected index {index}"
             )
-
-        def apply(g: Permutation) -> Permutation:
-            if g.images not in _apply_cache:
-                if not self.contains_images(g.images):
-                    raise ValueError("element outside the acting group")
-                _apply_cache[g.images] = tuple(
-                    labels[self.coset_rep(sub_chain, kernels.compose(rep, g.images))]
-                    for rep in reps
-                )
-            return Permutation._raw(_apply_cache[g.images])
-
-        _apply_cache: dict[tuple, tuple] = {}
-        images = tuple(apply(g) for g in self._gens)
-        return ActionHom(
-            source=self,
-            target_degree=index,
-            generator_images=images,
-            _apply=apply,
-            _kernel_thunk=lambda: self._coset_kernel(images, index),
-        )
-
-    def _coset_kernel(
-        self, action_images: Sequence[Permutation], index: int
-    ) -> "PermGroup":
-        # Pointwise stabilizer of the coset points inside the group acting
-        # on original points and cosets simultaneously.
-        n = self._degree
-        combined = [
-            g.images + tuple(n + x for x in a.images)
-            for g, a in zip(self._gens, action_images)
-        ]
-        big = PermGroup.from_images(n + index, combined)
-        fixer = big.pointwise_stabilizer(range(n, n + index))
-        return PermGroup.from_images(
-            n, (img[:n] for img in (g.images for g in fixer.generators))
-        )
+        return ActionHom(self, index, (Permutation._raw(tuple(r)) for r in rows))
 
 
-@dataclass
 class ActionHom:
     """Homomorphism from a permutation group to an action on a new domain,
-    presented by the images of the source generators."""
+    presented by the images of the source generators.
 
-    source: PermGroup
-    target_degree: int
-    generator_images: tuple[Permutation, ...]
-    _apply: Callable[[Permutation], Permutation]
-    _kernel_thunk: Callable[[], PermGroup] | None = None
-    _kernel: PermGroup | None = None
+    Everything is read off the graph group {(g, g^phi)}, which acts on the
+    source points 0..n-1 and the target points n..n+m-1 at once (Holt,
+    Eick and O'Brien, *Handbook of Computational Group Theory*, 4.4).  Its
+    natural chain has the source points first in its base and forces
+    images; a chain with the target points first forces preimages, and its
+    level that fixes every target point is the kernel.  Each chain is
+    built on first use.
+    """
+
+    def __init__(
+        self,
+        source: PermGroup,
+        target_degree: int,
+        generator_images: Iterable[Permutation],
+    ) -> None:
+        self.source = source
+        self.target_degree = target_degree
+        self.generator_images = tuple(generator_images)
+
+    @cached_property
+    def _graph(self) -> PermGroup:
+        n = self.source.degree
+        return PermGroup.from_images(
+            n + self.target_degree,
+            (
+                g.images + tuple(n + x for x in h.images)
+                for g, h in zip(self.source.generators, self.generator_images)
+            ),
+        )
+
+    @cached_property
+    def _target_first(self) -> tuple[_Chain, int]:
+        n = self.source.degree
+        return self._graph._prefix_chain(range(n, n + self.target_degree))
 
     def apply(self, g: Permutation) -> Permutation:
-        return self._apply(g)
+        n = self.source.degree
+        img = None
+        if g.degree == n:
+            img = self._graph.chain().force(dict(enumerate(g.images)))
+        if img is None:
+            raise ConstructionError("element outside the acting group")
+        return Permutation._raw(tuple(x - n for x in img[n:]))
 
-    @property
+    def preimage(self, h: Permutation) -> Permutation:
+        """The canonical element of the source that maps to h."""
+        n = self.source.degree
+        img = None
+        if h.degree == self.target_degree:
+            chain = self._target_first[0]
+            img = chain.force({n + j: n + x for j, x in enumerate(h.images)})
+        if img is None:
+            raise ConstructionError("element outside the image")
+        return Permutation._raw(img[:n])
+
+    @cached_property
     def kernel(self) -> PermGroup:
-        if self._kernel is None:
-            assert self._kernel_thunk is not None
-            self._kernel = self._kernel_thunk()
-        return self._kernel
+        n = self.source.degree
+        chain, cut = self._target_first
+        return PermGroup.from_images(n, (img[:n] for img in chain.effective_gens(cut)))
 
     def image_group(self) -> PermGroup:
         return PermGroup(self.generator_images, degree=self.target_degree)
@@ -765,6 +786,13 @@ class ActionHom:
             raise ConstructionError("can only map subgroups of the source")
         return PermGroup(
             (self.apply(g) for g in sub.generators), degree=self.target_degree
+        )
+
+    def preimage_subgroup(self, sub: PermGroup) -> PermGroup:
+        """The full preimage of a subgroup of the image."""
+        return PermGroup(
+            [self.preimage(h) for h in sub.generators] + list(self.kernel.generators),
+            degree=self.source.degree,
         )
 
 

@@ -31,7 +31,6 @@ conjugate = _impl.conjugate
 power = _impl.power
 perm_order = _impl.perm_order
 orbit_transversal = _impl.orbit_transversal
-closure = _impl.closure
 
 __all__ = [
     "BACKEND",
@@ -41,5 +40,4 @@ __all__ = [
     "power",
     "perm_order",
     "orbit_transversal",
-    "closure",
 ]

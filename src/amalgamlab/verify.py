@@ -222,33 +222,24 @@ def _coordinate_tower_preimages(
 
     Every element of G_x induces, through the certificate, an element of
     the ordered-pairs group and hence a permutation of the n underlying
-    points.  The preimages of the two point stabilizers at the base pair's
-    coordinates are computed as point stabilizers of the group acting
-    simultaneously on its own domain and on the n underlying points.
+    points.  The towers are the preimages of the two point stabilizers at
+    the base pair's coordinates under that action.
     """
     pairs = ref.pairs
     n = pairs.n
     witness_inv = kernels.inverse(ref.witness)
-    d = ctx.vertex_group.degree
-    combined_gens = []
-    for g in ctx.vertex_group.generators:
-        loc = ctx.neighbor_hom.apply(g).images
-        in_pairs = kernels.compose(kernels.compose(witness_inv, loc), ref.witness)
+    coords = []
+    for h in ctx.neighbor_hom.generator_images:
+        in_pairs = kernels.compose(kernels.compose(witness_inv, h.images), ref.witness)
         coord = tuple(
             pairs.index_pair(in_pairs[pairs.pair_index(a, (a + 1) % n)])[0]
             for a in range(n)
         )
-        combined_gens.append(Permutation._raw(g.images + tuple(d + c for c in coord)))
-    combined = PermGroup(combined_gens, degree=d + n)
-
-    def restrict(sub: PermGroup) -> PermGroup:
-        return PermGroup(
-            (Permutation._raw(g.images[:d]) for g in sub.generators), degree=d
-        )
-
+        coords.append(Permutation._raw(coord))
+    hom = ActionHom(ctx.vertex_group, n, coords)
+    image = hom.image_group()
     return tuple(
-        restrict(combined.stabilizer(d + coordinate))
-        for coordinate in ref.base_pair
+        hom.preimage_subgroup(image.stabilizer(c)) for c in ref.base_pair
     )
 
 

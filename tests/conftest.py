@@ -80,6 +80,32 @@ def assert_same_group(a: PermGroup, b: PermGroup) -> None:
     assert all(a.contains_images(g.images) for g in b.generators)
 
 
+def oracle_hom_table(hom) -> dict:
+    """Every source element with its image under an action homomorphism.
+
+    Closes the generator pairs (g, g^phi), glued into one tuple on source
+    plus target points, under composition; two images for one source
+    element mean the generator images define no homomorphism.
+    """
+    n = hom.source.degree
+    pairs = mulclose(
+        (
+            g.images + tuple(n + x for x in h.images)
+            for g, h in zip(hom.source.generators, hom.generator_images)
+        ),
+        n + hom.target_degree,
+    )
+    table = {t[:n]: tuple(x - n for x in t[n:]) for t in pairs}
+    assert len(table) == len(pairs), "generator images define no homomorphism"
+    return table
+
+
+def oracle_kernel(hom) -> frozenset:
+    """{g : g^phi = 1}, by scanning the element table."""
+    ident = tuple(range(hom.target_degree))
+    return frozenset(g for g, h in oracle_hom_table(hom).items() if h == ident)
+
+
 def oracle_normal_closure(group_images: frozenset, seed_images, degree: int):
     """Smallest subset of group_images closed under multiplication and
     conjugation by every group element, containing seed_images."""

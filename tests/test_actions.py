@@ -25,7 +25,17 @@ from amalgamlab.group import (
 )
 from amalgamlab.perm import Permutation, parse_permutation
 
-from conftest import compose_images, element_set, invert_images, random_group
+from conftest import (
+    assert_same_group,
+    compose_images,
+    element_set,
+    invert_images,
+    oracle_hom_table,
+    oracle_kernel,
+    random_group,
+    random_perm,
+    random_subgroup,
+)
 
 
 def perm(text, degree=None):
@@ -262,3 +272,57 @@ def test_induced_action_rejects_non_invariant():
     g = cyclic_group(6)
     with pytest.raises(ConstructionError):
         induced_action(g, (0, 1))
+
+
+def _random_hom(rng, g):
+    """A coset, invariant-set or invariant-partition homomorphism of g."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return g.coset_action(random_subgroup(rng, g))
+    if kind == 1:
+        orbits = g.orbits()
+        chosen = rng.sample(orbits, rng.randrange(1, len(orbits) + 1))
+        return induced_action(g, [p for orbit in chosen for p in orbit])
+    # The orbits of a normal subgroup are permuted by the whole group.
+    normal = g.normal_closure([rng.choice(list(g.elements()))])
+    return induced_action(g, normal.orbits())
+
+
+def test_action_hom_properties():
+    from amalgamlab.errors import ConstructionError
+
+    rng = random.Random(2024_11)
+    outside_checked = missed_checked = 0
+    for _ in range(60):
+        g = random_group(rng, max_order=300)
+        hom = _random_hom(rng, g)
+        table = oracle_hom_table(hom)
+        elems = list(g.elements())
+        kernel = hom.kernel
+        for _ in range(5):
+            a, b = rng.choice(elems), rng.choice(elems)
+            assert hom.apply(a).images == table[a.images]
+            assert hom.apply(a * b) == hom.apply(a) * hom.apply(b)
+            lifted = hom.preimage(hom.apply(a))
+            assert kernel.contains_images((a.inverse() * lifted).images)
+        assert element_set(kernel) == oracle_kernel(hom)
+        sub = random_subgroup(rng, g)
+        assert_same_group(
+            hom.preimage_subgroup(hom.map_subgroup(sub)), sub.join(kernel)
+        )
+        outside = random_perm(rng, g.degree)
+        if outside not in g:
+            outside_checked += 1
+            with pytest.raises(ConstructionError):
+                hom.apply(outside)
+        with pytest.raises(ConstructionError):
+            hom.apply(Permutation.identity(g.degree + 1))
+        image = hom.image_group()
+        missed = random_perm(rng, hom.target_degree)
+        if missed not in image:
+            missed_checked += 1
+            with pytest.raises(ConstructionError):
+                hom.preimage(missed)
+        with pytest.raises(ConstructionError):
+            hom.preimage(Permutation.identity(hom.target_degree + 1))
+    assert outside_checked and missed_checked

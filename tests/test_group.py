@@ -29,6 +29,7 @@ from conftest import (
     group_from_images,
     invert_images,
     mulclose,
+    oracle_kernel,
     oracle_normal_closure,
     random_group,
     random_perm,
@@ -180,6 +181,7 @@ def test_coset_action_kernel_is_core():
         hom = g.coset_action(h)
         assert hom.target_degree == g.order() // h.order()
         assert_same_group(hom.kernel, g.core(h))
+        assert element_set(hom.kernel) == oracle_kernel(hom)
         # The trivial coset is labeled 0, so h maps into the stabilizer of 0.
         for u in h.generators:
             assert hom.apply(u)[0] == 0

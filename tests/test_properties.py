@@ -28,6 +28,8 @@ from amalgamlab.verify import regular_base_instance
 
 from conftest import (
     assert_same_group,
+    element_set,
+    oracle_kernel,
     prime_divisors,
     random_group,
     random_subgroup,
@@ -59,7 +61,9 @@ def test_core_equals_coset_action_kernel():
     for _ in range(CASES):
         g = random_group(rng)
         h = random_subgroup(rng, g)
-        assert_same_group(g.core(h), g.coset_action(h).kernel)
+        hom = g.coset_action(h)
+        assert_same_group(g.core(h), hom.kernel)
+        assert element_set(g.core(h)) == oracle_kernel(hom)
 
 
 def test_p_radical_contains_every_normal_p_subgroup():

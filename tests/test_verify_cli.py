@@ -1,6 +1,8 @@
 """Theorem verifiers, proof trace, hypothesis checks and the CLI contract."""
 
+import fcntl
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -315,6 +317,53 @@ def test_cli_graph_balls_missing_file_is_exit_2(capsys):
     code, _, err = run_cli(capsys, "graph", "balls", "nosuchfile")
     assert code == 2
     assert err.strip()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("graph", "balls", "k4", "--radius", "-1"),
+        ("amalgam", "cores", "k4", "--depth", "-2"),
+        ("construct", "section4", "--depth", "-1"),
+        ("lemma", "verify", "--n", "6..4"),
+    ],
+)
+def test_cli_empty_series_is_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ")
+
+
+def test_cli_closed_stdout_is_quiet():
+    """A reader that leaves after one line (`| head -n 1`) gets no traceback.
+
+    The pipe is shrunk to one page where the platform allows it, so the
+    command is still writing when the reader closes its end.
+    """
+    read_fd, write_fd = os.pipe()
+    if hasattr(fcntl, "F_SETPIPE_SZ"):
+        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "amalgamlab.cli", "lemma", "verify", "--n", "4..7",
+         "--json"],
+        stdout=write_fd,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    os.close(write_fd)
+    first = b""
+    while not first.endswith(b"\n"):
+        chunk = os.read(read_fd, 1)
+        if not chunk:
+            break
+        first += chunk
+    os.close(read_fd)
+    _, err = proc.communicate(timeout=120)
+    assert json.loads(first)["inputs"]["n"] == 4
+    assert "Traceback" not in err
+    assert proc.returncode == 0
 
 
 def test_cli_unknown_subcommand_is_exit_2(capsys):
