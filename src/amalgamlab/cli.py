@@ -80,7 +80,12 @@ def _parse_edge(text: str | None) -> tuple[int, int] | None:
     if text is None:
         return None
     x, _, y = text.partition(",")
-    return (int(x), int(y))
+    try:
+        return (int(x), int(y))
+    except ValueError:
+        raise ValueError(
+            f"--edge must be x,y with integer x and y, got {text!r}"
+        ) from None
 
 
 def _instance_edge(
@@ -210,10 +215,10 @@ def _cmd_graph_balls(args: argparse.Namespace) -> list[Report]:
     _at_least(args.radius, 0, "--radius")
     inst = _load_instance(args.source)
     series = stabilizer_series(inst, args.x, args.radius)
-    report = Report(
-        "graph balls",
-        {"source": args.source, "x": args.x, "radius": args.radius},
-    )
+    inputs = {"source": args.source, "x": args.x, "y": args.y, "radius": args.radius}
+    if args.y is None:
+        del inputs["y"]
+    report = Report("graph balls", inputs)
     report.require(
         "ball-series",
         all(

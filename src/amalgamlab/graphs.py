@@ -230,20 +230,24 @@ def _vertex_invariant(graph: Graph) -> list[tuple]:
 
 
 def graph_automorphisms(graph: Graph) -> PermGroup:
-    """The full automorphism group, by backtracking in BFS vertex order.
+    """The full automorphism group, by a coset-pruned search for generators.
 
-    Vertices are assigned in breadth-first order from vertex 0, so every
-    vertex after the first has an already-assigned neighbor and candidate
-    images are confined to the image's neighborhood.  Pruning: vertex
-    invariants (degree, neighbor degrees, distance profile) must match,
-    and adjacency to every assigned vertex must agree both ways.
+    The base is the breadth-first order from vertex 0, so a base point's
+    image lies next to the image of its BFS parent.  Levels L run from the
+    last base point down to the first.  At level L, order[:L] is fixed
+    pointwise, as every generator found so far fixes it; each image of
+    order[L] outside its orbit under them, in increasing order, is extended
+    depth-first to its first automorphism, which becomes a generator.  One
+    leaf is sought per coset (McKay 1981; Butler, LNCS 559, 1991), and it
+    is the lexicographically first in base order.  Candidates must match
+    vertex invariants (degree, neighbor degrees, distance profile), and the
+    assigned neighbors of v must map onto the assigned neighbors of its
+    image: an O(degree) check that equals full adjacency agreement.
     """
     limit = guards().autos_vertices
     n = graph.vertex_count
     if n > limit:
         raise GuardExceededError("autos_vertices", limit, n)
-    if n == 1:
-        return PermGroup(degree=1)
     invariant = _vertex_invariant(graph)
     order = []
     parent = [-1] * n
@@ -258,54 +262,48 @@ def graph_automorphisms(graph: Graph) -> PermGroup:
                 seen[w] = True
                 parent[w] = v
                 queue.append(w)
-
-    image = [-1] * n
-    used = [False] * n
-    found: list[tuple] = []
-    adjacency_sets = [frozenset(row) for row in graph.adjacency]
+    image = list(range(n))  # all fixed at first; -1 marks unassigned
+    used = [True] * n
 
     def candidates(v: int) -> list[int]:
-        if parent[v] == -1:
-            pool = range(n)
-        else:
-            pool = adjacency_sets[image[parent[v]]]
+        pool = range(n) if parent[v] == -1 else graph.neighbors(image[parent[v]])
+        mapped = {image[u] for u in graph.neighbors(v) if image[u] != -1}
         return [
             w
             for w in pool
-            if not used[w] and invariant[w] == invariant[v]
+            if not used[w]
+            and invariant[w] == invariant[v]
+            and mapped == {u for u in graph.neighbors(w) if used[u]}
         ]
 
-    def consistent(v: int, w: int) -> bool:
-        nbrs = adjacency_sets[v]
-        wnbrs = adjacency_sets[w]
-        for u in order:
-            if image[u] == -1:
-                continue
-            if (u in nbrs) != (image[u] in wnbrs):
-                return False
-        return True
+    def first_leaf(i: int, w: int) -> tuple | None:
+        """The first automorphism extending the assignment by order[i] -> w."""
+        image[order[i]], used[w] = w, True
+        try:
+            if i + 1 == n:
+                return tuple(image)
+            for u in candidates(order[i + 1]):
+                leaf = first_leaf(i + 1, u)
+                if leaf is not None:
+                    return leaf
+            return None
+        finally:
+            image[order[i]], used[w] = -1, False
 
-    def search(i: int) -> None:
-        if i == n:
-            found.append(tuple(image))
-            return
-        v = order[i]
-        for w in sorted(candidates(v)):
-            if consistent(v, w):
-                image[v] = w
-                used[w] = True
-                search(i + 1)
-                used[w] = False
-                image[v] = -1
-
-    search(0)
     gens: list[tuple] = []
-    group = PermGroup(degree=n)
-    for img in found:
-        if not group.contains_images(img):
-            gens.append(img)
-            group = PermGroup.from_images(n, gens)
-    return group
+    for level in range(n - 1, -1, -1):
+        v = order[level]
+        image[v], used[v] = -1, False
+        orbit = {v}
+        for w in candidates(v):
+            if w in orbit or (leaf := first_leaf(level, w)) is None:
+                continue
+            gens.append(leaf)
+            frontier = orbit
+            while frontier:
+                frontier = {g[u] for u in frontier for g in gens} - orbit
+                orbit |= frontier
+    return PermGroup.from_images(n, gens)
 
 
 # -- instances --------------------------------------------------------------
@@ -399,6 +397,8 @@ def ball_stabilizer_pair(
     """Pointwise stabilizer of the union of the two balls around an edge."""
     _check_vertex(inst.graph, x)
     _check_vertex(inst.graph, y)
+    if not inst.graph.has_edge(x, y):
+        raise GraphError(f"{{{x},{y}}} is not an edge")
     points = sorted(set(ball(inst.graph, x, radius)) | set(ball(inst.graph, y, radius)))
     return inst.group.pointwise_stabilizer(points)
 

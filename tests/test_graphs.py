@@ -2,18 +2,20 @@
 
 Automorphism groups of every small graph here are checked against the
 exhaustive backtracking oracle in conftest, which never touches the
-partition-refinement search under test.
+coset-pruned search under test.
 """
 
 import random
 
 import pytest
 
+from amalgamlab.cli import cli_dispatch
 from amalgamlab.errors import (
     ConstructionError,
     DegreeMismatchError,
     FormatError,
     GraphError,
+    GuardExceededError,
 )
 from amalgamlab.graphs import (
     Graph,
@@ -38,6 +40,7 @@ from amalgamlab.graphs import (
     stabilizer_series_pair,
 )
 from amalgamlab.group import (
+    PermGroup,
     alternating_group,
     generate_group,
     symmetric_group,
@@ -197,6 +200,62 @@ def test_automorphisms_match_oracle_on_random_graphs():
         assert element_set(graph_automorphisms(g)) == frozenset(
             oracle_automorphisms(g)
         )
+
+
+@pytest.mark.parametrize("name", ["heawood", "tutte-coxeter"])
+def test_automorphisms_of_relabelled_catalog_graphs(name):
+    """A relabelling p conjugates the group: g -> p^-1 g p.
+
+    The search keeps one leaf per coset, so no generator lies in the group
+    generated by those before it.
+    """
+    inst = catalog_graph(name)
+    n = inst.graph.vertex_count
+    rng = random.Random(f"relabel {name}")
+    for _ in range(5):
+        p = Permutation(rng.sample(range(n), n))
+        relabelled = graph_from_edges(
+            n, [(p[u], p[v]) for u, v in inst.graph.edges()]
+        )
+        group = graph_automorphisms(relabelled)
+        assert group.order() == inst.group.order()
+        gens = group.generators
+        assert all(g not in PermGroup(gens[:i], degree=n) for i, g in enumerate(gens))
+        assert all(g.conjugate_by(p) in group for g in inst.group.generators)
+        assert all(
+            h.conjugate_by(p.inverse()) in inst.group for h in group.generators
+        )
+        x = rng.randrange(n)
+        orbits = inst.group.stabilizer(x).orbits()
+        mapped = sorted(sorted(p[v] for v in orbit) for orbit in orbits)
+        assert mapped == group.stabilizer(p[x]).orbits()
+
+
+def test_automorphism_search_makes_no_membership_tests(monkeypatch):
+    def refuse(self, img):
+        raise AssertionError("membership test inside the automorphism search")
+
+    graph = catalog_graph("tutte-coxeter").graph
+    with monkeypatch.context() as patch:
+        patch.setattr(PermGroup, "contains_images", refuse)
+        group = graph_automorphisms(graph)
+    assert group.order() == 1440
+
+
+def test_automorphism_guard_on_vertex_count(capsys, tmp_path):
+    cycle = cycle_graph(201)
+    with pytest.raises(GuardExceededError) as info:
+        graph_automorphisms(cycle)
+    assert (info.value.guard, info.value.limit, info.value.needed) == (
+        "autos_vertices", 200, 201
+    )
+    path = tmp_path / "c201.graph"
+    path.write_text(format_graph(cycle))
+    assert cli_dispatch(["graph", "autos", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: guard 'autos_vertices' exceeded")
 
 
 def test_catalog_automorphism_orders():

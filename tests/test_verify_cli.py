@@ -336,6 +336,38 @@ def test_cli_empty_series_is_exit_2(capsys, argv):
     assert line.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("graph", "balls", "petersen", "--x", "0", "--y", "7", "--radius", "1"),
+         "{0,7} is not an edge"),
+        (("graph", "balls", "petersen", "--x", "0", "--y", "0", "--radius", "1"),
+         "{0,0} is not an edge"),
+    ]
+    + [
+        (("amalgam", "cores", "k4", "--edge", edge),
+         f"--edge must be x,y with integer x and y, got {edge!r}")
+        for edge in ("0", "0,", "a,1", "0,1,2")
+    ],
+)
+def test_cli_bad_edge_is_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
+def test_cli_graph_balls_records_y(capsys):
+    code, out, _ = run_cli(
+        capsys, "graph", "balls", "petersen", "--x", "0", "--y", "1",
+        "--radius", "1", "--json",
+    )
+    assert code == 0
+    (report,) = json_lines(out)
+    assert report["inputs"] == {"source": "petersen", "x": 0, "y": 1, "radius": 1}
+    assert [c["name"] for c in report["checks"]] == ["ball-series", "edge-ball-series"]
+
+
 def test_cli_closed_stdout_is_quiet():
     """A reader that leaves after one line (`| head -n 1`) gets no traceback.
 
