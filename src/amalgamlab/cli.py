@@ -52,14 +52,19 @@ from .verify import (
 __all__ = ["main", "cli_dispatch"]
 
 
-def _parse_n_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        start, stop = int(lo), int(hi)
-        if stop < start:
-            raise ValueError(f"empty range {text!r}")
-        return list(range(start, stop + 1))
-    return [int(text)]
+def _parse_n_range(text: str) -> range:
+    """The values of `--n`, lazily: a guard stops a huge range early."""
+    lo, dots, hi = text.partition("..")
+    try:
+        start = int(lo)
+        stop = int(hi) if dots else start
+    except ValueError:
+        raise ValueError(
+            f"--n must be an integer or a range a..b, got {text!r}"
+        ) from None
+    if stop < start:
+        raise ValueError(f"empty range {text!r}")
+    return range(start, stop + 1)
 
 
 def _at_least(value: int, low: int, flag: str) -> None:

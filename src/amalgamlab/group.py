@@ -475,62 +475,56 @@ class PermGroup:
         if not target or len(target) == self._degree:
             return self
         limits = guards()
-        if self.order() <= limits.elements:
-            return self._grown(
-                img
-                for img in self.element_images()
-                if all(img[x] in target for x in target)
-            )
-        if self._degree > limits.setwise_degree:
+        if self.order() > limits.elements and self._degree > limits.setwise_degree:
             raise GuardExceededError("setwise_degree", limits.setwise_degree, self._degree)
-        hits: list[tuple] = []
 
         def test(img: tuple) -> bool:
             return all(img[x] in target for x in target)
 
-        def prune(img: tuple, fixed: list[int]) -> bool:
-            for x in fixed:
-                if (x in target) != (img[x] in target):
-                    return False
-            return True
+        def prune(img: tuple, fixed: set[int]) -> bool:
+            return all((x in target) == (img[x] in target) for x in fixed)
 
-        self._backtrack(test, prune, hits.append)
-        return self._grown(iter(hits))
+        return self._backtrack(test, prune)
 
     def _backtrack(
         self,
         test: Callable[[tuple], bool],
-        prune: Callable[[tuple, list[int]], bool],
-        emit: Callable[[tuple], None],
-    ) -> None:
-        """Depth-first search over chain cosets.
+        prune: Callable[[tuple, set[int]], bool],
+    ) -> "PermGroup":
+        """Subgroup generated by the elements passing `test`, found by a
+        depth-first search over chain cosets.
 
-        At depth i the partial product already determines the images of all
-        points fixed by the level-i group; `prune` sees the partial image
-        tuple plus that point list and may cut the subtree.
+        At depth i the partial product u_i...u_1u_0 already determines the
+        images of all points fixed by the level-i group; `prune` sees the
+        partial image tuple plus that point set and may cut the subtree, so
+        it must only reject partial products that no passing element
+        extends.  Leaves are reached in exactly the order of
+        `_Chain.iter_elements` (the same products, orbits sorted, depth
+        first), so the generators kept by `_grown` are the ones a filter of
+        `element_images()` would keep.
         """
         chain = self.chain()
         levels = chain.levels
-        fixed_at: list[list[int]] = []
+        fixed_at: list[set[int]] = []
         for i in range(len(levels) + 1):
             moved = set()
             for g in chain.effective_gens(i):
                 moved.update(Permutation._raw(g).moved_points())
-            fixed_at.append(sorted(set(range(self._degree)) - moved))
+            fixed_at.append(set(range(self._degree)) - moved)
 
-        def rec(i: int, partial: tuple) -> None:
+        def rec(i: int, partial: tuple) -> Iterator[tuple]:
             if i == len(levels):
                 if test(partial):
-                    emit(partial)
+                    yield partial
                 return
             lvl = levels[i]
             for point in sorted(lvl.orbit):
                 u = lvl.transversal[point]
                 nxt = kernels.compose(u, partial)
                 if prune(nxt, fixed_at[i + 1]):
-                    rec(i + 1, nxt)
+                    yield from rec(i + 1, nxt)
 
-        rec(0, tuple(range(self._degree)))
+        return self._grown(rec(0, tuple(range(self._degree))))
 
     def _grown(self, images: Iterable[tuple]) -> "PermGroup":
         """Group generated by the stream, adding only non-members.
@@ -623,6 +617,11 @@ class PermGroup:
         return closure
 
     def centralizer(self, other: "PermGroup | Permutation") -> "PermGroup":
+        """Elements commuting with every generator of other (or with other).
+
+        Chain backtrack: a partial product is cut as soon as some point x
+        with t[x] also fixed has img[t[x]] != t[img[x]].
+        """
         targets = (
             other.gen_images()
             if isinstance(other, PermGroup)
@@ -634,28 +633,56 @@ class PermGroup:
                     f"degree {len(t)} vs degree {self._degree}"
                 )
         self._scan_guard()
-        return self._grown(
-            img
-            for img in self.element_images()
-            if all(kernels.conjugate(t, img) == t for t in targets)
+
+        def commutes(img: tuple, fixed: set[int]) -> bool:
+            return all(
+                img[t[x]] == t[img[x]]
+                for t in targets
+                for x in fixed
+                if t[x] in fixed
+            )
+
+        return self._backtrack(
+            lambda img: all(kernels.conjugate(t, img) == t for t in targets),
+            commutes,
         )
 
     def center(self) -> "PermGroup":
         return self.centralizer(self)
 
     def normalizer(self, other: "PermGroup") -> "PermGroup":
+        """Elements conjugating other onto itself.
+
+        Chain backtrack: such an element permutes the orbits of other, so a
+        partial product is cut when it sends a fixed point into an orbit of
+        another size, or two points of one orbit into different orbits.
+        """
         if other._degree != self._degree:
             raise DegreeMismatchError(
                 f"degree {other._degree} vs degree {self._degree}"
             )
         self._scan_guard()
         targets = other.gen_images()
-        return self._grown(
-            img
-            for img in self.element_images()
-            if all(
+        label = [0] * self._degree
+        sizes = []
+        for orbit in other.orbits():
+            for x in orbit:
+                label[x] = len(sizes)
+            sizes.append(len(orbit))
+
+        def keeps_orbits(img: tuple, fixed: set[int]) -> bool:
+            image_of: dict[int, int] = {}
+            for x in fixed:
+                a, b = label[x], label[img[x]]
+                if sizes[a] != sizes[b] or image_of.setdefault(a, b) != b:
+                    return False
+            return True
+
+        return self._backtrack(
+            lambda img: all(
                 other.contains_images(kernels.conjugate(t, img)) for t in targets
-            )
+            ),
+            keeps_orbits,
         )
 
     def core(self, sub: "PermGroup") -> "PermGroup":

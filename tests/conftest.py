@@ -43,6 +43,11 @@ def invert_images(p: tuple) -> tuple:
     return tuple(out)
 
 
+def conjugate_images(p: tuple, g: tuple) -> tuple:
+    """g^-1 * p * g as an image tuple."""
+    return compose_images(compose_images(invert_images(g), p), g)
+
+
 def mulclose(images, degree: int, cap: int | None = None) -> frozenset:
     """Brute-force closure of a set of image tuples under composition."""
     ident = tuple(range(degree))
@@ -129,6 +134,44 @@ def oracle_normal_closure(group_images: frozenset, seed_images, degree: int):
                 seen.add(u)
                 frontier.append(u)
     return frozenset(seen)
+
+
+# --------------------------------------------------------------------------
+# element-scan subgroup searches
+# --------------------------------------------------------------------------
+# The library finds these subgroups by a pruned chain backtrack.  The scans
+# below filter every element in chain order and grow the group from the
+# hits, so equal generator lists show that the pruning dropped no hit and
+# kept the order in which hits are found.
+
+
+def scan_normalizer(group: PermGroup, other: PermGroup) -> PermGroup:
+    targets = other.gen_images()
+    return group._grown(
+        img
+        for img in group.element_images()
+        if all(
+            other.contains_images(conjugate_images(t, img)) for t in targets
+        )
+    )
+
+
+def scan_centralizer(group: PermGroup, targets) -> PermGroup:
+    """Centralizer of a list of image tuples."""
+    return group._grown(
+        img
+        for img in group.element_images()
+        if all(compose_images(t, img) == compose_images(img, t) for t in targets)
+    )
+
+
+def scan_setwise_stabilizer(group: PermGroup, points) -> PermGroup:
+    target = set(points)
+    return group._grown(
+        img
+        for img in group.element_images()
+        if all(img[x] in target for x in target)
+    )
 
 
 # --------------------------------------------------------------------------

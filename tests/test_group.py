@@ -8,6 +8,7 @@ from amalgamlab.errors import DegreeMismatchError, GuardExceededError
 from amalgamlab.group import (
     ActionHom,
     PermGroup,
+    _Chain,
     alternating_group,
     commutator_subgroup,
     cyclic_group,
@@ -34,6 +35,9 @@ from conftest import (
     random_group,
     random_perm,
     random_subgroup,
+    scan_centralizer,
+    scan_normalizer,
+    scan_setwise_stabilizer,
 )
 
 
@@ -236,6 +240,60 @@ def test_centralizer_and_normalizer_match_filters():
         assert cent.order() == len(cent_oracle)
         assert norm.order() == len(norm_oracle)
         assert cent.is_subgroup_of(norm)
+
+
+def _search_cases():
+    """(group, other) pairs: seeded random subgroups, and the base-pair
+    stabilizers of Sym(n) on ordered pairs with their Sylow subgroups."""
+    from amalgamlab.pairs import build_ordered_pairs
+    from amalgamlab.structure import sylow
+
+    rng = random.Random(83)
+    cases = []
+    for _ in range(12):
+        g = random_group(rng, max_order=1000)
+        cases.append((g, random_subgroup(rng, g)))
+    for n in (5, 6):
+        action = build_ordered_pairs(n)
+        stab = action.group.stabilizer(action.base_pair_index)
+        cases.append((action.group, stab))
+        for p in (2, 3):
+            cases.append((action.group, sylow(stab, p)))
+            cases.append((stab, sylow(stab, p)))
+    return cases
+
+
+def test_searches_keep_the_scan_generators():
+    rng = random.Random(89)
+    for g, h in _search_cases():
+        assert g.normalizer(h).gen_images() == scan_normalizer(g, h).gen_images()
+        assert (
+            g.centralizer(h).gen_images()
+            == scan_centralizer(g, h.gen_images()).gen_images()
+        )
+        t = rng.choice(list(g.element_images()))
+        assert (
+            g.centralizer(Permutation(t)).gen_images()
+            == scan_centralizer(g, [t]).gen_images()
+        )
+        pts = rng.sample(range(g.degree), rng.randrange(1, g.degree))
+        assert (
+            g.setwise_stabilizer(pts).gen_images()
+            == scan_setwise_stabilizer(g, pts).gen_images()
+        )
+
+
+def test_searches_scan_no_elements(monkeypatch):
+    cases = _search_cases()
+
+    def no_scan(self):
+        raise AssertionError("element scan inside a subgroup search")
+
+    monkeypatch.setattr(_Chain, "iter_elements", no_scan)
+    for g, h in cases:
+        g.normalizer(h)
+        g.centralizer(h)
+        g.setwise_stabilizer([0, g.degree - 1])
 
 
 def test_known_centers():

@@ -357,6 +357,29 @@ def test_cli_bad_edge_is_exit_2(capsys, argv, message):
     assert err.splitlines() == [f"error: {message}"]
 
 
+@pytest.mark.parametrize("n", ["4..x", "..5", "5..", "4..5..6", "x"])
+def test_cli_bad_n_is_exit_2(capsys, n):
+    code, out, err = run_cli(capsys, "lemma", "verify", "--n", n, "--json")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: --n must be an integer or a range a..b, got {n!r}"
+    ]
+
+
+def test_cli_huge_n_range_stops_at_the_guard(capsys):
+    """The range is never materialised: it stops at n = 9, where the
+    element guard trips as it does for `--n 4..9`."""
+    code, out, err = run_cli(
+        capsys, "lemma", "verify", "--n", "9..100000000000000000000", "--json"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "error: guard 'elements' exceeded: limit 200000, computation needs 362880"
+    ]
+
+
 def test_cli_graph_balls_records_y(capsys):
     code, out, _ = run_cli(
         capsys, "graph", "balls", "petersen", "--x", "0", "--y", "1",
