@@ -73,6 +73,16 @@ def _at_least(value: int, low: int, flag: str) -> None:
         raise ValueError(f"{flag} must be at least {low}, got {value}")
 
 
+def _within_graph(value: int, inst: PairInstance, flag: str) -> None:
+    """Reject a distance bound above the vertex count: past the diameter the
+    series is constant, so a larger bound only repeats its last term."""
+    if value > inst.graph.vertex_count:
+        raise ValueError(
+            f"{flag} must be at most the vertex count "
+            f"{inst.graph.vertex_count}, got {value}"
+        )
+
+
 def _load_instance(source: str) -> PairInstance:
     """A catalog name, or a path to a graph file (automorphisms computed)."""
     if source in catalog_names():
@@ -219,6 +229,7 @@ def _cmd_graph_autos(args: argparse.Namespace) -> list[Report]:
 def _cmd_graph_balls(args: argparse.Namespace) -> list[Report]:
     _at_least(args.radius, 0, "--radius")
     inst = _load_instance(args.source)
+    _within_graph(args.radius, inst, "--radius")
     series = stabilizer_series(inst, args.x, args.radius)
     inputs = {"source": args.source, "x": args.x, "y": args.y, "radius": args.radius}
     if args.y is None:
@@ -349,6 +360,7 @@ def _cmd_amalgam_faithful(args: argparse.Namespace) -> list[Report]:
 def _cmd_amalgam_cores(args: argparse.Namespace) -> list[Report]:
     _at_least(args.depth, 1, "--depth")
     inst = _load_instance(args.source)
+    _within_graph(args.depth, inst, "--depth")
     x, y = _instance_edge(inst, _parse_edge(args.edge))
     amalgam = amalgam_from_pair(inst, x, y)
     vertex_cores, edge_cores = core_sequence(amalgam, args.depth)

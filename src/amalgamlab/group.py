@@ -45,12 +45,8 @@ __all__ = [
 ]
 
 
-def _is_identity(img: tuple) -> bool:
-    return all(i == x for i, x in enumerate(img))
-
-
 class _Level:
-    __slots__ = ("base", "gens", "gen_set", "orbit", "transversal")
+    __slots__ = ("base", "gens", "gen_set", "orbit", "transversal", "inverse")
 
     def __init__(self, base: int) -> None:
         self.base = base
@@ -58,6 +54,7 @@ class _Level:
         self.gen_set: set[tuple] = set()
         self.orbit: list[int] = [base]
         self.transversal: dict[int, tuple] = {}
+        self.inverse: dict[int, tuple] = {}
 
 
 class _Chain:
@@ -66,7 +63,10 @@ class _Chain:
     Each level keeps the generators of its stabilizer subgroup; the lists
     are nested, a strong generator found at one level is appended to every
     level it belongs to.  Orbits only ever extend, never rebuild, so coset
-    representatives stay stable while the chain grows.
+    representatives stay stable while the chain grows.  Each level also
+    caches the inverse of every transversal element, computed once when
+    the orbit reaches its point, so `sift`, `_process` and `force` never
+    invert a coset representative again.
 
     `rank` orders the points used for base selection; None means natural
     order.  Bases are always the lowest-ranked moved point of their level
@@ -91,7 +91,7 @@ class _Chain:
         seeds = []
         seen = set()
         for img in gen_images:
-            if not _is_identity(img) and img not in seen:
+            if img != self._identity and img not in seen:
                 seen.add(img)
                 seeds.append(img)
         if seeds:
@@ -119,6 +119,7 @@ class _Chain:
         lvl = self.levels[i]
         if not lvl.transversal:
             lvl.transversal[lvl.base] = self._identity
+            lvl.inverse[lvl.base] = self._identity
             lvl.orbit = [lvl.base]
         head = 0
         while head < len(lvl.orbit):
@@ -128,7 +129,9 @@ class _Chain:
             for g in lvl.gens:
                 image = g[point]
                 if image not in lvl.transversal:
-                    lvl.transversal[image] = kernels.compose(u, g)
+                    v = kernels.compose(u, g)
+                    lvl.transversal[image] = v
+                    lvl.inverse[image] = kernels.inverse(v)
                     lvl.orbit.append(image)
 
     def order(self) -> int:
@@ -141,16 +144,15 @@ class _Chain:
         """Quotient img by transversal elements; (residue, stop level)."""
         for j in range(start, len(self.levels)):
             lvl = self.levels[j]
-            x = img[lvl.base]
-            u = lvl.transversal.get(x)
-            if u is None:
+            u_inv = lvl.inverse.get(img[lvl.base])
+            if u_inv is None:
                 return img, j
-            img = kernels.compose(img, kernels.inverse(u))
+            img = kernels.compose(img, u_inv)
         return img, len(self.levels)
 
     def contains(self, img: tuple) -> bool:
         residue, _ = self.sift(img)
-        return _is_identity(residue)
+        return residue == self._identity
 
     def _place(self, img: tuple, lo: int, j: int) -> int:
         """Record a strong generator spanning levels lo..j.
@@ -216,12 +218,11 @@ class _Chain:
             while g_idx < len(lvl.gens):
                 s = lvl.gens[g_idx]
                 g_idx += 1
-                t = lvl.transversal[s[point]]
-                h = kernels.compose(kernels.compose(u, s), kernels.inverse(t))
-                if _is_identity(h):
+                h = kernels.compose(kernels.compose(u, s), lvl.inverse[s[point]])
+                if h == self._identity:
                     continue
                 residue, j = self.sift(h, i + 1)
-                if _is_identity(residue):
+                if residue == self._identity:
                     continue
                 deepest = self._place(residue, i + 1, j)
                 for l in range(deepest, i, -1):
@@ -240,11 +241,12 @@ class _Chain:
         for lvl in self.levels:
             if lvl.base not in current:
                 break
-            u = lvl.transversal.get(current.pop(lvl.base))
+            target = current.pop(lvl.base)
+            u = lvl.transversal.get(target)
             if u is None:
                 return None
             acc = kernels.compose(u, acc)
-            u_inv = kernels.inverse(u)
+            u_inv = lvl.inverse[target]
             current = {p: u_inv[t] for p, t in current.items()}
         if any(p != t for p, t in current.items()):
             return None
@@ -491,17 +493,27 @@ class PermGroup:
         test: Callable[[tuple], bool],
         prune: Callable[[tuple, set[int]], bool],
     ) -> "PermGroup":
-        """Subgroup generated by the elements passing `test`, found by a
+        """Subgroup H generated by the elements passing `test`, found by a
         depth-first search over chain cosets.
 
-        At depth i the partial product u_i...u_1u_0 already determines the
-        images of all points fixed by the level-i group; `prune` sees the
-        partial image tuple plus that point set and may cut the subtree, so
-        it must only reject partial products that no passing element
-        extends.  Leaves are reached in exactly the order of
-        `_Chain.iter_elements` (the same products, orbits sorted, depth
-        first), so the generators kept by `_grown` are the ones a filter of
-        `element_images()` would keep.
+        The elements passing `test` must form a subgroup.  At depth i the
+        partial product u_i...u_1u_0 already determines the images of all
+        points fixed by the level-i group; `prune` sees the partial image
+        tuple plus that point set and may cut the subtree, so it must only
+        reject partial products that no passing element extends.  Leaves
+        are reached in exactly the order of `_Chain.iter_elements` (the
+        same products, orbits sorted, depth first), so the generators kept
+        by `_grown` are the ones a filter of `element_images()` would keep.
+
+        First-hit invariant: a node at depth i with partial product p != 1
+        covers the leaves G^(i)p, whose hits form one coset (H & G^(i))h0.
+        Its path leaves the identity path at some level j < i, and the
+        identity child there, covering G^(j+1) >= G^(i), was searched first
+        (a base point is the least point of its orbit).  So the group grown
+        so far already contains H & G^(i), and once h0 is streamed `_grown`
+        would reject every later hit of the subtree.  The search therefore
+        leaves such a node after its first hit; the kept generators do not
+        change.
         """
         chain = self.chain()
         levels = chain.levels
@@ -511,6 +523,7 @@ class PermGroup:
             for g in chain.effective_gens(i):
                 moved.update(Permutation._raw(g).moved_points())
             fixed_at.append(set(range(self._degree)) - moved)
+        identity = chain._identity
 
         def rec(i: int, partial: tuple) -> Iterator[tuple]:
             if i == len(levels):
@@ -521,20 +534,28 @@ class PermGroup:
             for point in sorted(lvl.orbit):
                 u = lvl.transversal[point]
                 nxt = kernels.compose(u, partial)
-                if prune(nxt, fixed_at[i + 1]):
-                    yield from rec(i + 1, nxt)
+                if not prune(nxt, fixed_at[i + 1]):
+                    continue
+                hits = rec(i + 1, nxt)
+                if nxt == identity:
+                    yield from hits
+                else:
+                    first = next(hits, None)
+                    if first is not None:
+                        yield first
 
-        return self._grown(rec(0, tuple(range(self._degree))))
+        return self._grown(rec(0, identity))
 
     def _grown(self, images: Iterable[tuple]) -> "PermGroup":
         """Group generated by the stream, adding only non-members.
 
         Deterministic: candidates are tested in stream order.
         """
+        identity = tuple(range(self._degree))
         gens: list[tuple] = []
         current: PermGroup | None = None
         for img in images:
-            if _is_identity(img):
+            if img == identity:
                 continue
             if current is None:
                 gens.append(img)

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from math import factorial
 
 from .actions import induced_action
-from .errors import ConstructionError, DegreeMismatchError
+from .config import guards
+from .errors import ConstructionError, DegreeMismatchError, GuardExceededError
 from .group import PermGroup, alternating_group
 from .perm import Permutation
 from .report import Report
@@ -101,8 +102,13 @@ class OrderedPairsAction:
 
 
 def build_ordered_pairs(n: int) -> OrderedPairsAction:
+    """Sym(n) on ordered pairs; the order guard is checked on n! before
+    any stabilizer chain is built."""
     if n < 3:
         raise ConstructionError("the ordered-pairs action needs n >= 3")
+    limit = guards().order
+    if factorial(n) > limit:
+        raise GuardExceededError("order", limit, factorial(n))
     placeholder = OrderedPairsAction(n, PermGroup(degree=n * (n - 1)))
     transposition = Permutation.from_cycles(n, [(0, 1)])
     cycle = Permutation([(x + 1) % n for x in range(n)])

@@ -279,8 +279,15 @@ class ConjugacyClass:
 
 
 def conjugacy_classes(group: PermGroup) -> list[ConjugacyClass]:
-    """All conjugacy classes; representatives in element-enumeration order."""
+    """All conjugacy classes; representatives in element-enumeration order.
+
+    Each element not yet in a class starts a new one, closed under
+    conjugation by the generators.  The walk stops as soon as the class
+    sizes add up to the group order: every later element already lies in a
+    class found, so it could start none.
+    """
     group._scan_guard()
+    order = group.order()
     gen_images = group.gen_images()
     visited: set[tuple] = set()
     classes: list[ConjugacyClass] = []
@@ -300,6 +307,8 @@ def conjugacy_classes(group: PermGroup) -> list[ConjugacyClass]:
                     visited.add(c)
                     orbit.append(c)
         classes.append(ConjugacyClass(g, len(orbit)))
+        if len(visited) == order:
+            break
     return classes
 
 

@@ -137,12 +137,13 @@ def oracle_normal_closure(group_images: frozenset, seed_images, degree: int):
 
 
 # --------------------------------------------------------------------------
-# element-scan subgroup searches
+# element scans: subgroup searches and the class walk
 # --------------------------------------------------------------------------
 # The library finds these subgroups by a pruned chain backtrack.  The scans
 # below filter every element in chain order and grow the group from the
 # hits, so equal generator lists show that the pruning dropped no hit and
-# kept the order in which hits are found.
+# kept the order in which hits are found.  The class walk is the library's
+# without its early stop.
 
 
 def scan_normalizer(group: PermGroup, other: PermGroup) -> PermGroup:
@@ -172,6 +173,28 @@ def scan_setwise_stabilizer(group: PermGroup, points) -> PermGroup:
         for img in group.element_images()
         if all(img[x] in target for x in target)
     )
+
+
+def scan_conjugacy_classes(group: PermGroup) -> list[tuple[tuple, int]]:
+    """(representative, size) of every class, walking every element in
+    chain order; each element outside the classes found starts a new one,
+    closed under conjugation by the generators."""
+    gens = group.gen_images()
+    visited: set[tuple] = set()
+    classes = []
+    for t in group.element_images():
+        if t in visited:
+            continue
+        orbit = [t]
+        visited.add(t)
+        for s in orbit:
+            for g in gens:
+                c = conjugate_images(s, g)
+                if c not in visited:
+                    visited.add(c)
+                    orbit.append(c)
+        classes.append((t, len(orbit)))
+    return classes
 
 
 # --------------------------------------------------------------------------

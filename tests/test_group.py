@@ -296,6 +296,28 @@ def test_searches_scan_no_elements(monkeypatch):
         g.setwise_stabilizer([0, g.degree - 1])
 
 
+def test_backtrack_streams_one_hit_per_coset(monkeypatch):
+    """Off the identity path the search leaves a subtree after its first
+    hit, so the normalizer of the n = 7 base-pair stabilizer streams fewer
+    hits into `_grown` than it has elements, and keeps the same generators."""
+    from amalgamlab.pairs import build_ordered_pairs
+
+    action = build_ordered_pairs(7)
+    stab = action.group.stabilizer(action.base_pair_index)
+    expected = scan_normalizer(action.group, stab).gen_images()
+    grown = PermGroup._grown
+    streamed = []
+
+    def counted(self, images):
+        return grown(self, (streamed.append(img) or img for img in images))
+
+    monkeypatch.setattr(PermGroup, "_grown", counted)
+    norm = action.group.normalizer(stab)
+    assert norm.order() == 240
+    assert norm.gen_images() == expected
+    assert 0 < len(streamed) < norm.order()
+
+
 def test_known_centers():
     assert dihedral_group(4).center().order() == 2
     assert symmetric_group(4).center().order() == 1

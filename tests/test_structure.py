@@ -7,6 +7,7 @@ import pytest
 
 from amalgamlab.group import (
     PermGroup,
+    _Chain,
     alternating_group,
     cyclic_group,
     dihedral_group,
@@ -34,11 +35,13 @@ from amalgamlab.structure import (
 
 from conftest import (
     compose_images,
+    conjugate_images,
     element_set,
     mulclose,
     prime_divisors,
     random_group,
     random_perm,
+    scan_conjugacy_classes,
 )
 
 
@@ -215,6 +218,51 @@ def test_conjugacy_classes_random_partition():
         # Orbit-counting: class size divides the group order.
         for c in classes:
             assert g.order() % c.size == 0
+
+
+def _class_list(group):
+    return [(c.representative.images, c.size) for c in conjugacy_classes(group)]
+
+
+def relabelled_pairs_group(n, rng):
+    """Sym(n) on ordered pairs with its points relabelled at random and its
+    generators shuffled."""
+    from amalgamlab.pairs import build_ordered_pairs
+
+    group = build_ordered_pairs(n).group
+    sigma = random_perm(rng, group.degree).images
+    gens = [conjugate_images(g, sigma) for g in group.gen_images()]
+    rng.shuffle(gens)
+    return PermGroup.from_images(group.degree, gens)
+
+
+def test_conjugacy_classes_match_the_full_walk():
+    rng = random.Random(101)
+    groups = [random_group(rng, max_order=600) for _ in range(12)]
+    groups += [relabelled_pairs_group(n, rng) for n in (4, 5, 6, 7)]
+    for g in groups:
+        assert _class_list(g) == scan_conjugacy_classes(g)
+
+
+def test_class_walk_stops_at_the_group_order(monkeypatch):
+    """On Sym(7) on pairs the walk ends once its classes cover the group,
+    before the chain has yielded every element."""
+    from amalgamlab.pairs import build_ordered_pairs
+
+    group = build_ordered_pairs(7).group
+    walk = _Chain.iter_elements
+    yielded = []
+
+    def counted(self):
+        for img in walk(self):
+            yielded.append(img)
+            yield img
+
+    monkeypatch.setattr(_Chain, "iter_elements", counted)
+    classes = conjugacy_classes(group)
+    assert sum(c.size for c in classes) == group.order() == 5040
+    assert len(classes) == 15  # the partitions of 7
+    assert len(yielded) < group.order()
 
 
 # -- O_p, O^p ---------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import fcntl
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -334,6 +335,39 @@ def test_cli_empty_series_is_exit_2(capsys, argv):
     assert out == ""
     (line,) = err.splitlines()
     assert line.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("graph", "balls", "k4", "--radius", "5"),
+         "--radius must be at most the vertex count 4, got 5"),
+        (("graph", "balls", "k4", "--radius", "100000000000000000000"),
+         "--radius must be at most the vertex count 4, "
+         "got 100000000000000000000"),
+        (("amalgam", "cores", "k4", "--depth", "5"),
+         "--depth must be at most the vertex count 4, got 5"),
+        (("amalgam", "cores", "k4", "--depth", "100000000000000000000"),
+         "--depth must be at most the vertex count 4, "
+         "got 100000000000000000000"),
+    ]
+    + [
+        (argv, f"guard 'order' exceeded: limit {10**12}, "
+               f"computation needs {math.factorial(n)}")
+        for argv, n in (
+            (("action", "build-pairs", "--n", "15"), 15),
+            (("action", "classify", "--pairs", "100"), 100),
+        )
+    ],
+)
+def test_cli_out_of_range_is_exit_2(capsys, argv, message):
+    """Refused at once, not run: past the diameter a ball or core series
+    is constant, and n! is checked against the order guard before any
+    chain of the pairs action is built."""
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: {message}"]
 
 
 @pytest.mark.parametrize(
