@@ -24,7 +24,7 @@ from .amalgams import (
     inflate_amalgam,
     verify_inflation,
 )
-from .errors import AmalgamlabError
+from .errors import AmalgamlabError, GraphError
 from .graphs import (
     PairInstance,
     catalog_graph,
@@ -106,8 +106,12 @@ def _parse_edge(text: str | None) -> tuple[int, int] | None:
 def _instance_edge(
     inst: PairInstance, edge: tuple[int, int] | None
 ) -> tuple[int, int]:
+    """The given edge, checked against the graph, or its first edge."""
     if edge is None:
         return inst.graph.edges()[0]
+    x, y = edge
+    if not inst.graph.has_edge(x, y):
+        raise GraphError(f"{{{x},{y}}} is not an edge")
     return edge
 
 

@@ -92,7 +92,8 @@ class Graph:
         return len(self.adjacency[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
+        """Whether {u, v} is an edge; False for a vertex out of range."""
+        return 0 <= u < len(self.adjacency) and v in self.adjacency[u]
 
     def edges(self) -> list[tuple[int, int]]:
         return [

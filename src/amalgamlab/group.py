@@ -260,19 +260,18 @@ class _Chain:
 
     def iter_elements(self) -> Iterator[tuple]:
         """All elements, deterministically: identity first, grouped by the
-        image of the first base point in increasing order."""
+        image of the first base point in increasing order.  The partial
+        product is carried down the tree, one `compose` per tree node."""
 
-        def rec(i: int) -> Iterator[tuple]:
+        def rec(i: int, partial: tuple) -> Iterator[tuple]:
             if i == len(self.levels):
-                yield self._identity
+                yield partial
                 return
             lvl = self.levels[i]
             for point in sorted(lvl.orbit):
-                u = lvl.transversal[point]
-                for rest in rec(i + 1):
-                    yield kernels.compose(rest, u)
+                yield from rec(i + 1, kernels.compose(lvl.transversal[point], partial))
 
-        return rec(0)
+        return rec(0, self._identity)
 
 
 class PermGroup:
@@ -414,7 +413,7 @@ class PermGroup:
         for p, q in mapping.items():
             self._check_point(p)
             self._check_point(q)
-        img = self._prefix_chain(list(mapping))[0].force(mapping)
+        img = self._prefix_chain(sorted(mapping))[0].force(mapping)
         return Permutation._raw(img) if img is not None else None
 
     def is_transitive(self) -> bool:
@@ -440,9 +439,15 @@ class PermGroup:
             raise ValueError(f"point {point} out of range for degree {self._degree}")
 
     def _prefix_chain(self, points: Sequence[int]) -> tuple[_Chain, int]:
-        """Chain whose base starts with the given points; returns it with
-        the level index of the subgroup fixing all of them."""
-        prefix = sorted(set(points))
+        """Chain ranked by the given points, in the order given (repeats
+        dropped), then the rest in increasing order; returns it with the
+        level index of the subgroup fixing all of them.
+
+        Its base takes the given points in the order given, skipping each
+        one that the stabilizer of those before it fixes, so `force` can
+        prescribe the images of any prefix of the given points.
+        """
+        prefix = list(dict.fromkeys(points))
         for x in prefix:
             self._check_point(x)
         pos = {x: i for i, x in enumerate(prefix)}
@@ -461,7 +466,7 @@ class PermGroup:
         points = list(points)
         if not points:
             return self
-        chain, cut = self._prefix_chain(points)
+        chain, cut = self._prefix_chain(sorted(points))
         return PermGroup.from_images(self._degree, chain.effective_gens(cut))
 
     def stabilizer(self, point: int) -> "PermGroup":
@@ -551,20 +556,12 @@ class PermGroup:
 
         Deterministic: candidates are tested in stream order.
         """
-        identity = tuple(range(self._degree))
         gens: list[tuple] = []
-        current: PermGroup | None = None
+        current = PermGroup((), degree=self._degree)
         for img in images:
-            if img == identity:
-                continue
-            if current is None:
+            if not current.contains_images(img):
                 gens.append(img)
                 current = PermGroup.from_images(self._degree, gens)
-            elif not current.contains_images(img):
-                gens.append(img)
-                current = PermGroup.from_images(self._degree, gens)
-        if current is None:
-            return PermGroup((), degree=self._degree)
         return current
 
     # -- subgroup relations ----------------------------------------------
@@ -869,61 +866,24 @@ def subgroup_relations(a: PermGroup, b: PermGroup) -> SubgroupRelation:
 
 
 def intersection(a: PermGroup, b: PermGroup) -> PermGroup:
-    """Intersection, by element filter when the smaller group fits under
-    the element guard and by chain backtracking otherwise."""
+    """Intersection, by `_backtrack` over the smaller group's chain.
+
+    A leaf passes when the larger group contains it.  The prune asks the
+    larger group's chain, re-ranked to start with the smaller group's base
+    in base order, to `force` the base images fixed so far; those are
+    exactly a base prefix, so it cuts precisely the partial products that
+    no element of the larger group extends.
+    """
     if a.degree != b.degree:
         raise DegreeMismatchError(f"degree {a.degree} vs degree {b.degree}")
     small, big = (a, b) if a.order() <= b.order() else (b, a)
-    if small.order() <= guards().elements:
-        return small._grown(
-            img for img in small.element_images() if big.contains_images(img)
-        )
-    return _intersection_backtrack(small, big)
+    bases = small.base()
+    big_chain, _ = big._prefix_chain(bases)
 
+    def realizable(img: tuple, fixed: set[int]) -> bool:
+        return big_chain.force({x: img[x] for x in bases if x in fixed}) is not None
 
-def _intersection_backtrack(a: PermGroup, b: PermGroup) -> PermGroup:
-    """Backtrack over a's chain, pruning partial base images that no
-    element of b can realize."""
-    chain = a.chain()
-    bases = chain.base()
-    prefix = list(bases) + [x for x in range(a.degree) if x not in set(bases)]
-    rank = [0] * a.degree
-    for i, x in enumerate(prefix):
-        rank[x] = i
-    b_chain = _Chain(b.degree, b.gen_images(), rank=rank)
-    hits: list[tuple] = []
-
-    def rec(i: int, partial: tuple, b_level: int, b_partial: tuple) -> None:
-        if i == len(bases):
-            if b.contains_images(partial):
-                hits.append(partial)
-            return
-        lvl = chain.levels[i]
-        for point in sorted(lvl.orbit):
-            u = lvl.transversal[point]
-            nxt = kernels.compose(u, partial)
-            target = nxt[bases[i]]
-            # Extend the b-side witness: some element of b must map each
-            # assigned base point the same way the candidate does.  The
-            # levels of b's re-based chain appear in the same point order
-            # as a's bases, so at most one level is consumed per step.
-            j = b_level
-            b_next = b_partial
-            if j < len(b_chain.levels) and b_chain.levels[j].base == bases[i]:
-                want = kernels.inverse(b_next)[target]
-                u_b = b_chain.levels[j].transversal.get(want)
-                if u_b is None:
-                    continue
-                b_next = kernels.compose(u_b, b_next)
-                j += 1
-            elif b_next[bases[i]] != target:
-                # b's remaining subgroup fixes this point, no freedom left.
-                continue
-            rec(i + 1, nxt, j, b_next)
-
-    ident = tuple(range(a.degree))
-    rec(0, ident, 0, ident)
-    return a._grown(iter(hits))
+    return small._backtrack(big.contains_images, realizable)
 
 
 def commutator_subgroup(a: PermGroup, b: PermGroup) -> PermGroup:

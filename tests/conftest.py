@@ -175,6 +175,13 @@ def scan_setwise_stabilizer(group: PermGroup, points) -> PermGroup:
     )
 
 
+def scan_intersection(a: PermGroup, b: PermGroup) -> PermGroup:
+    small, big = (a, b) if a.order() <= b.order() else (b, a)
+    return small._grown(
+        img for img in small.element_images() if big.contains_images(img)
+    )
+
+
 def scan_conjugacy_classes(group: PermGroup) -> list[tuple[tuple, int]]:
     """(representative, size) of every class, walking every element in
     chain order; each element outside the classes found starts a new one,

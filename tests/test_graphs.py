@@ -69,6 +69,7 @@ def test_complete_graph():
     assert len(g.edges()) == 6
     assert all(g.degree(v) == 3 for v in range(4))
     assert g.has_edge(0, 3) and not g.has_edge(2, 2)
+    assert not g.has_edge(-1, 0) and not g.has_edge(4, 0)
 
 
 def test_cycle_and_bipartite():

@@ -36,6 +36,7 @@ from conftest import (
     random_perm,
     random_subgroup,
     scan_centralizer,
+    scan_intersection,
     scan_normalizer,
     scan_setwise_stabilizer,
 )
@@ -276,6 +277,11 @@ def test_searches_keep_the_scan_generators():
             g.centralizer(Permutation(t)).gen_images()
             == scan_centralizer(g, [t]).gen_images()
         )
+        conj = h.conjugate(Permutation(t))
+        assert (
+            intersection(h, conj).gen_images()
+            == scan_intersection(h, conj).gen_images()
+        )
         pts = rng.sample(range(g.degree), rng.randrange(1, g.degree))
         assert (
             g.setwise_stabilizer(pts).gen_images()
@@ -294,6 +300,7 @@ def test_searches_scan_no_elements(monkeypatch):
         g.normalizer(h)
         g.centralizer(h)
         g.setwise_stabilizer([0, g.degree - 1])
+        intersection(g, h)
 
 
 def test_backtrack_streams_one_hit_per_coset(monkeypatch):
@@ -318,6 +325,31 @@ def test_backtrack_streams_one_hit_per_coset(monkeypatch):
     assert 0 < len(streamed) < norm.order()
 
 
+def test_element_walk_composes_once_per_tree_node(monkeypatch):
+    """The walk carries the partial product down the chain's tree, so on
+    Sym(7) on pairs (orbits 42, 5, 4, 3, 2) it composes once per tree node
+    instead of once per level for every element."""
+    from amalgamlab import kernels
+    from amalgamlab.pairs import build_ordered_pairs
+
+    chain = build_ordered_pairs(7).group.chain()
+    nodes, width = 0, 1
+    for orbit in chain.basic_orbits():
+        width *= len(orbit)
+        nodes += width
+    compose = kernels.compose
+    calls = []
+
+    def counted(p, q):
+        calls.append(None)
+        return compose(p, q)
+
+    monkeypatch.setattr(kernels, "compose", counted)
+    elements = list(chain.iter_elements())
+    assert len(set(elements)) == len(elements) == 5040
+    assert len(calls) <= nodes == 8652
+
+
 def test_known_centers():
     assert dihedral_group(4).center().order() == 2
     assert symmetric_group(4).center().order() == 1
@@ -329,32 +361,24 @@ def test_known_centers():
     assert q8.center().order() == 2
 
 
-def test_intersection_filter_path():
-    rng = random.Random(67)
+def _check_intersections(seed):
+    rng = random.Random(seed)
     for _ in range(12):
         g = random_group(rng, max_order=300)
         a = random_subgroup(rng, g)
         b = random_subgroup(rng, g)
         both = intersection(a, b)
-        oracle = element_set(a) & element_set(b)
-        assert element_set(both) == oracle
+        assert element_set(both) == element_set(a) & element_set(b)
         assert_same_group(both, a.intersection(b))
 
 
-def test_intersection_backtrack_path(monkeypatch):
-    rng = random.Random(71)
-    cases = []
-    for _ in range(12):
-        g = random_group(rng, max_order=300)
-        a = random_subgroup(rng, g)
-        b = random_subgroup(rng, g)
-        cases.append((a, b, element_set(a) & element_set(b)))
-    # Starve the element guard so intersection must use chain backtracking.
-    monkeypatch.setenv("AMALGAMLAB_GUARD_ELEMENTS", "1")
-    for a, b, oracle in cases:
-        both = intersection(a, b)
-        assert both.order() == len(oracle)
-        assert all(both.contains_images(t) for t in list(oracle)[:20])
+def test_intersection_filter_path():
+    # The cases the old element filter covered, now run by the backtrack.
+    _check_intersections(67)
+
+
+def test_intersection_backtrack_path():
+    _check_intersections(71)
 
 
 def test_join_and_conjugate():

@@ -382,6 +382,16 @@ def test_cli_out_of_range_is_exit_2(capsys, argv, message):
         (("amalgam", "cores", "k4", "--edge", edge),
          f"--edge must be x,y with integer x and y, got {edge!r}")
         for edge in ("0", "0,", "a,1", "0,1,2")
+    ]
+    + [
+        ((*command, "petersen", "--edge", edge), f"{{{edge}}} is not an edge")
+        for command in (
+            ("graph", "coset"),
+            ("amalgam", "extract"),
+            ("amalgam", "faithful"),
+            ("amalgam", "cores"),
+        )
+        for edge in ("0,7", "0,0", "99,0")
     ],
 )
 def test_cli_bad_edge_is_exit_2(capsys, argv, message):
