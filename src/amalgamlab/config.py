@@ -3,7 +3,8 @@
 Every potentially explosive routine checks one of these guards up front and
 raises GuardExceededError when the input is too large.  The two guards that
 practical use actually bumps into (full element scans and coset-action
-degree) can be raised per process through environment variables:
+degree) can be set per process through environment variables, each to a
+positive integer:
 
     AMALGAMLAB_GUARD_ELEMENTS   element-scan cap        (default 200000)
     AMALGAMLAB_GUARD_DEGREE     coset-action degree cap (default 100000)
@@ -29,10 +30,14 @@ def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name)
     if raw is None:
         return default
+    message = f"{name} must be a positive integer, got {raw!r}"
     try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from exc
+        value = int(raw)
+    except ValueError:
+        raise ValueError(message) from None
+    if value < 1:
+        raise ValueError(message)
+    return value
 
 
 def guards() -> Guards:

@@ -16,6 +16,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import kernels
 from .config import guards
@@ -285,26 +286,37 @@ def conjugacy_classes(group: PermGroup) -> list[ConjugacyClass]:
     conjugation by the generators.  The walk stops as soon as the class
     sizes add up to the group order: every later element already lies in a
     class found, so it could start none.
+
+    Elements are remembered by their images of the chain's base points.
+    Only the identity fixes a base pointwise, so two elements x, y with
+    the same base images are equal (x y^-1 fixes the base), and these
+    short keys identify an element.  Full image tuples are kept only for
+    the class being closed.
     """
     group._scan_guard()
     order = group.order()
-    gen_images = group.gen_images()
-    visited: set[tuple] = set()
+    base = group.base()
+    # itemgetter needs at least one point; only the trivial group has none.
+    key = itemgetter(*base) if base else (lambda t: ())
+    gens = [(kernels.inverse(s), s) for s in group.gen_images()]
+    visited: set = set()
     classes: list[ConjugacyClass] = []
     for g in group.elements():
         t = g.images
-        if t in visited:
+        k = key(t)
+        if k in visited:
             continue
         orbit = [t]
-        visited.add(t)
+        visited.add(k)
         i = 0
         while i < len(orbit):
             s = orbit[i]
             i += 1
-            for gen in gen_images:
-                c = kernels.conjugate(s, gen)
-                if c not in visited:
-                    visited.add(c)
+            for inv, gen in gens:
+                c = kernels.compose(kernels.compose(inv, s), gen)
+                k = key(c)
+                if k not in visited:
+                    visited.add(k)
                     orbit.append(c)
         classes.append(ConjugacyClass(g, len(orbit)))
         if len(visited) == order:

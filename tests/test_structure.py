@@ -240,6 +240,11 @@ def test_conjugacy_classes_match_the_full_walk():
     rng = random.Random(101)
     groups = [random_group(rng, max_order=600) for _ in range(12)]
     groups += [relabelled_pairs_group(n, rng) for n in (4, 5, 6, 7)]
+    # Bases of no point (trivial groups) and of one point (a regular cyclic
+    # group, a degree-2 group): an itemgetter over the base cannot be built
+    # for the first and yields a bare point for the second.
+    groups += [trivial_group(d) for d in (0, 1, 3)]
+    groups += [cyclic_group(7), symmetric_group(2)]
     for g in groups:
         assert _class_list(g) == scan_conjugacy_classes(g)
 
@@ -263,6 +268,25 @@ def test_class_walk_stops_at_the_group_order(monkeypatch):
     assert sum(c.size for c in classes) == group.order() == 5040
     assert len(classes) == 15  # the partitions of 7
     assert len(yielded) < group.order()
+
+
+def test_class_walk_keeps_base_images_only():
+    """Visited elements are remembered by their base images, so the walk
+    over Sym(7) on pairs peaks below |G|·degree·8 bytes, the size of one
+    pointer per image point of every element."""
+    import tracemalloc
+
+    from amalgamlab.pairs import build_ordered_pairs
+
+    group = build_ordered_pairs(7).group
+    group.chain()
+    tracemalloc.start()
+    try:
+        conjugacy_classes(group)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < group.order() * group.degree * 8 == 1_693_440
 
 
 # -- O_p, O^p ---------------------------------------------------------------

@@ -411,6 +411,22 @@ def test_cli_bad_n_is_exit_2(capsys, n):
     ]
 
 
+@pytest.mark.parametrize("value", ["-5", "0", "x"])
+@pytest.mark.parametrize(
+    "name", ["AMALGAMLAB_GUARD_ELEMENTS", "AMALGAMLAB_GUARD_DEGREE"]
+)
+def test_cli_bad_guard_is_exit_2(capsys, monkeypatch, name, value):
+    """A guard below 1 is refused, not reported as a computation that
+    exceeds it."""
+    monkeypatch.setenv(name, value)
+    code, out, err = run_cli(capsys, "lemma", "verify", "--n", "4", "--json")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: {name} must be a positive integer, got {value!r}"
+    ]
+
+
 def test_cli_huge_n_range_stops_at_the_guard(capsys):
     """The range is never materialised: it stops at n = 9, where the
     element guard trips as it does for `--n 4..9`."""
