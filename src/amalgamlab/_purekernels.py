@@ -1,8 +1,7 @@
-"""Pure-Python permutation kernels.
+"""Pure-Python permutation kernels, re-exported by `amalgamlab.kernels`.
 
 Permutations are image tuples over 0..n-1 and compose left to right:
-(p * q)(x) = q(p(x)).  These functions are the innermost loops of the
-package; the compiled module _fastkernels implements the same contract.
+(p * q)(x) = q(p(x)).
 
 `compose` is a gather, q[p[0]], q[p[1]], ..., done by `operator.itemgetter`
 at C speed, so every routine built on it (chain sifts, element walks,
@@ -10,8 +9,6 @@ orbit transversals, powers) runs without a Python-level loop per point.
 """
 from math import gcd
 from operator import itemgetter
-
-BACKEND = "python"
 
 
 def compose(p, q):

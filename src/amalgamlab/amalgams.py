@@ -408,9 +408,20 @@ def inflate_amalgam(
 
 
 def verify_inflation(cert: InflationCertificate, depth: int = 3) -> Report:
-    """Re-check an inflation output against its contract."""
+    """Re-check an inflation output against its contract.
+
+    Each core series descends inside a vertex group and is constant once a
+    step repeats, so a depth past the bit length of the larger vertex-group
+    order only repeats and raises ConstructionError.
+    """
     out = cert.amalgam
     h_am = cert.input_amalgam
+    order = max(h_am.a.order(), out.a.order())
+    if depth > order.bit_length():
+        raise ConstructionError(
+            f"depth must be at most {order.bit_length()}, the bit length of "
+            f"the vertex-group order {order}, got {depth}"
+        )
     n = cert.base.degree
     h_degree = h_am.a.degree
     report = Report(

@@ -6,8 +6,8 @@ practical use actually bumps into (full element scans and coset-action
 degree) can be set per process through environment variables, each to a
 positive integer:
 
-    AMALGAMLAB_GUARD_ELEMENTS   element-scan cap        (default 200000)
-    AMALGAMLAB_GUARD_DEGREE     coset-action degree cap (default 100000)
+    AMALGAMLAB_GUARD_ELEMENTS   element-scan cap                    (default 200000)
+    AMALGAMLAB_GUARD_DEGREE     coset-action and group-file degree  (default 100000)
 """
 import os
 from dataclasses import dataclass

@@ -168,6 +168,9 @@ def parse_graph(text: str) -> Graph:
         if len(parts) != 2 or not all(p.lstrip("-").isdigit() for p in parts):
             raise FormatError(f"bad edge line {line!r}")
         edges.append((int(parts[0]), int(parts[1])))
+    if m < n - 1:
+        # Checked before n adjacency sets exist: n is bounded by the file.
+        raise GraphError("graph is not connected")
     return graph_from_edges(n, edges)
 
 

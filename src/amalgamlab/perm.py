@@ -19,7 +19,8 @@ import re
 from typing import Iterable, Iterator, Sequence
 
 from . import kernels
-from .errors import DegreeMismatchError, FormatError
+from .config import guards
+from .errors import DegreeMismatchError, FormatError, GuardExceededError
 
 __all__ = [
     "Permutation",
@@ -219,6 +220,8 @@ def parse_group_file(text: str) -> tuple[int, list[Permutation]]:
             if not m:
                 raise FormatError(f"line {lineno}: expected 'degree N' header")
             degree = int(m.group(1))
+            if degree > guards().degree:
+                raise GuardExceededError("degree", guards().degree, degree)
             continue
         gens.append(parse_permutation(line, degree=degree))
     if degree is None:

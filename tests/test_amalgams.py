@@ -264,6 +264,14 @@ def test_verify_inflation_all_pass(tutte_coxeter_section4):
     }
 
 
+def test_verify_inflation_depth_bound_is_inclusive(tutte_coxeter_section4):
+    """Depth 8 is the bit length of |G_x| = 192, the largest depth
+    accepted; the CLI tests check that 9 is refused."""
+    report = verify_inflation(tutte_coxeter_section4, depth=8)
+    assert report.overall == "pass"
+    assert report.checks[0].details["vertex_core_orders"] == [8, 2] + [1] * 6
+
+
 def test_verify_inflation_vacuous_on_non_faithful_input():
     sigma = perm("(0 1 2 3 4 5)")
     base = generate_group([sigma])

@@ -122,6 +122,8 @@ def test_parse_graph_rejects_garbage():
         parse_graph("2 1\n0 0\n")
     with pytest.raises(GraphError):
         parse_graph("4 1\n0 1\n")  # disconnected
+    with pytest.raises(GraphError, match="not connected"):
+        parse_graph("1000000000000 0")  # refused before any allocation
 
 
 def test_distances_and_ball():

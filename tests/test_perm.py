@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from amalgamlab.errors import DegreeMismatchError, FormatError
+from amalgamlab.errors import DegreeMismatchError, FormatError, GuardExceededError
 from amalgamlab.perm import (
     Permutation,
     format_group_file,
@@ -149,3 +149,6 @@ def test_group_file_rejects_bad_header():
         parse_group_file("(0 1)\n")
     with pytest.raises(FormatError):
         parse_group_file("degree x\n(0 1)\n")
+    with pytest.raises(GuardExceededError) as info:
+        parse_group_file("degree 1000000000000\n")
+    assert (info.value.guard, info.value.needed) == ("degree", 10**12)

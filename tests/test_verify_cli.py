@@ -358,13 +358,39 @@ def test_cli_empty_series_is_exit_2(capsys, argv):
             (("action", "build-pairs", "--n", "15"), 15),
             (("action", "classify", "--pairs", "100"), 100),
         )
+    ]
+    + [
+        (("construct", "section4", "--h", "tutte-coxeter", "--depth", depth),
+         "depth must be at most 8, the bit length of the vertex-group "
+         f"order 192, got {depth}")
+        for depth in ("9", "100000000000000000000")
     ],
 )
 def test_cli_out_of_range_is_exit_2(capsys, argv, message):
     """Refused at once, not run: past the diameter a ball or core series
-    is constant, and n! is checked against the order guard before any
-    chain of the pairs action is built."""
+    is constant, past the bit length of the vertex-group order an
+    inflation's core series is too, and n! is checked against the order
+    guard before any chain of the pairs action is built."""
     code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (("action", "classify", "--group"), "degree 1000000000000\n",
+         "guard 'degree' exceeded: limit 100000, computation needs 1000000000000"),
+        (("graph", "autos"), "1000000000000 0\n", "graph is not connected"),
+    ],
+)
+def test_cli_huge_file_header_is_exit_2(capsys, tmp_path, argv, text, message):
+    """A size in a file's header is checked before anything of that size is
+    allocated."""
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, *argv, str(path), "--json")
     assert code == 2
     assert out == ""
     assert err.splitlines() == [f"error: {message}"]
