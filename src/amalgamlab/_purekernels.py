@@ -56,6 +56,28 @@ def power(p, n):
     return acc
 
 
+def cycle_type(p):
+    """Cycle lengths of p in increasing order, fixed points as 1s.
+
+    Two permutations are conjugate in the full symmetric group exactly when
+    their cycle types agree."""
+    seen = [False] * len(p)
+    lengths = []
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        x = p[start]
+        length = 1
+        while x != start:
+            seen[x] = True
+            x = p[x]
+            length += 1
+        lengths.append(length)
+    lengths.sort()
+    return tuple(lengths)
+
+
 def perm_order(p):
     """Least k >= 1 with p^k = identity (lcm of cycle lengths)."""
     seen = [False] * len(p)

@@ -108,7 +108,10 @@ def _instance_edge(
 ) -> tuple[int, int]:
     """The given edge, checked against the graph, or its first edge."""
     if edge is None:
-        return inst.graph.edges()[0]
+        edges = inst.graph.edges()
+        if not edges:
+            raise GraphError("the graph has no edge")
+        return edges[0]
     x, y = edge
     if not inst.graph.has_edge(x, y):
         raise GraphError(f"{{{x},{y}}} is not an edge")

@@ -5,6 +5,12 @@ elements of a group are protected by the ``elements`` guard; the Thompson
 subgroup has its own order guard because its elementary-abelian search is
 exponential in the worst case.
 
+Conjugacy classes are certified rather than walked where the group allows
+it: representatives of distinct cycle types are never conjugate, so once
+the classes of the cycle types met in chain order add up to |G|, no class
+is missing.  Only a group in which some cycle type holds several classes
+falls back to closing classes under conjugation.
+
 Conventions
 -----------
 * The trivial group counts as a p-group for every prime p (order p^0).
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import Callable
 
 from . import kernels
 from .config import guards
@@ -282,16 +289,24 @@ class ConjugacyClass:
 def conjugacy_classes(group: PermGroup) -> list[ConjugacyClass]:
     """All conjugacy classes; representatives in element-enumeration order.
 
-    Each element not yet in a class starts a new one, closed under
-    conjugation by the generators.  The walk stops as soon as the class
-    sizes add up to the group order: every later element already lies in a
-    class found, so it could start none.
+    Type pass: the elements are walked in chain order, and each one whose
+    cycle type (on the group's points) is new becomes a representative.
+    Two elements of different cycle types are not conjugate even in the
+    full symmetric group, so these classes are distinct, and once their
+    sizes add up to |G| they are all the classes: the walk stops there.
+    Every class lies inside one cycle type, so the first element of a type
+    that is one class is the first element of that class.
 
-    Elements are remembered by their images of the chain's base points.
-    Only the identity fixes a base pointwise, so two elements x, y with
-    the same base images are equal (x y^-1 fixes the base), and these
-    short keys identify an element.  Full image tuples are kept only for
-    the class being closed.
+    A class is sized by closing it under conjugation by the generators
+    while it has at most b*m elements, for a chain of b levels holding m
+    coset representatives; a larger class is sized as |G| / |C_G(r)| by
+    the centralizer backtrack.  b*m bounds the nodes of a backtrack that
+    follows every child of the identity path down to a leaf, and on
+    Sym(n) on pairs the closure and the backtrack cost about the same at
+    that class size.
+
+    Once a type has met more elements than its class holds, it is a union
+    of several classes (as in Alt(n)), and `_class_walk` finishes.
     """
     group._scan_guard()
     order = group.order()
@@ -299,38 +314,109 @@ def conjugacy_classes(group: PermGroup) -> list[ConjugacyClass]:
     # itemgetter needs at least one point; only the trivial group has none.
     key = itemgetter(*base) if base else (lambda t: ())
     gens = [(kernels.inverse(s), s) for s in group.gen_images()]
-    visited: set = set()
+    limit = len(base) * sum(len(orbit) for orbit in group.basic_orbits())
     classes: list[ConjugacyClass] = []
-    for g in group.elements():
-        t = g.images
-        k = key(t)
-        if k in visited:
+    positions: list[int] = []
+    type_index: dict[tuple, int] = {}
+    counts: list[int] = []
+    covered = 0
+    for pos, t in enumerate(group.element_images()):
+        ct = kernels.cycle_type(t)
+        i = type_index.get(ct)
+        if i is not None:
+            counts[i] += 1
+            if counts[i] > classes[i].size:
+                break
             continue
-        orbit = [t]
-        visited.add(k)
-        i = 0
-        while i < len(orbit):
-            s = orbit[i]
-            i += 1
-            for inv, gen in gens:
-                c = kernels.compose(kernels.compose(inv, s), gen)
-                k = key(c)
-                if k not in visited:
-                    visited.add(k)
-                    orbit.append(c)
-        classes.append(ConjugacyClass(g, len(orbit)))
+        type_index[ct] = len(classes)
+        rep = Permutation._raw(t)
+        size = _close_class(t, gens, key, set(), limit)
+        if size is None:
+            size = order // group.centralizer(rep).order()
+        classes.append(ConjugacyClass(rep, size))
+        positions.append(pos)
+        counts.append(1)
+        covered += size
+        if covered == order:
+            return classes
+    return _class_walk(group, classes, positions, gens, key)
+
+
+def _class_walk(
+    group: PermGroup,
+    classes: list[ConjugacyClass],
+    positions: list[int],
+    gens: list[tuple[tuple, tuple]],
+    key: Callable[[tuple], object],
+) -> list[ConjugacyClass]:
+    """Finish a type pass that met a type holding several classes.
+
+    The classes found, `classes[i]` first met at chain position
+    `positions[i]`, are closed under conjugation.  The walk then starts
+    again; each element outside the closed classes starts a new one, and
+    the walk stops once the classes cover the group.
+    """
+    order = group.order()
+    visited: set = set()
+    for c in classes:
+        _close_class(c.representative.images, gens, key, visited)
+    found = list(zip(positions, classes))
+    for pos, t in enumerate(group.element_images()):
+        if key(t) in visited:
+            continue
+        size = _close_class(t, gens, key, visited)
+        found.append((pos, ConjugacyClass(Permutation._raw(t), size)))
         if len(visited) == order:
             break
-    return classes
+    found.sort(key=itemgetter(0))
+    return [c for _, c in found]
+
+
+def _close_class(
+    t: tuple,
+    gens: list[tuple[tuple, tuple]],
+    key: Callable[[tuple], object],
+    visited: set,
+    limit: int | None = None,
+) -> int | None:
+    """Size of the class of t, closed under conjugation by the (inverse,
+    generator) pairs; None once it exceeds `limit` elements.
+
+    Its elements are added to `visited` by their `key`, their images of
+    the chain's base points.  Only the identity fixes a base pointwise, so
+    two elements x, y with the same base images are equal (x y^-1 fixes
+    the base), and these short keys identify an element.  Full image
+    tuples are kept only for the class being closed.
+    """
+    orbit = [t]
+    visited.add(key(t))
+    for s in orbit:
+        for inv, gen in gens:
+            c = kernels.compose(kernels.compose(inv, s), gen)
+            k = key(c)
+            if k not in visited:
+                if len(orbit) == limit:
+                    return None
+                visited.add(k)
+                orbit.append(c)
+    return len(orbit)
 
 
 def normal_subgroups(group: PermGroup) -> list[PermGroup]:
     """Every normal subgroup, via breadth-first closure over class unions.
 
     A normal subgroup is a union of conjugacy classes, so the class-index
-    set is a perfect dedup key and the only edges needed are "adjoin one
-    class representative and take the normal closure".  Results are sorted
-    by order, ties broken by the class-index sets.
+    set (its signature) is a perfect dedup key and the only edges needed
+    are "adjoin one class representative and take the normal closure".
+    Results are sorted by order, ties broken by the class-index sets.
+
+    The first round, from the trivial group, records the signature of the
+    normal closure of each representative.  Later, adjoining r_i to N is
+    skipped when sig(N) | sig(ncl(r_i)) is already found: that normal
+    subgroup contains N and r_i, hence their normal closure, and the
+    closure contains every class of N and of ncl(r_i), hence that
+    subgroup.  The two are equal, so the closure would only be found
+    again.
     """
     classes = conjugacy_classes(group)
     reps = [c.representative for c in classes]
@@ -339,20 +425,24 @@ def normal_subgroups(group: PermGroup) -> list[PermGroup]:
         return frozenset(i for i, r in enumerate(reps) if r in n)
 
     base = trivial_group(group.degree)
-    found = {signature(base): base}
-    queue = [base]
+    start = signature(base)
+    found = {start: base}
+    principal: dict[int, frozenset[int]] = {}
+    queue = [(start, base)]
     while queue:
-        current = queue.pop(0)
-        for rep in reps:
-            if rep in current:
+        csig, current = queue.pop(0)
+        for i, rep in enumerate(reps):
+            if i in csig or (i in principal and csig | principal[i] in found):
                 continue
             grown = group.normal_closure(
                 PermGroup(current.generators + (rep,), degree=group.degree)
             )
             sig = signature(grown)
+            if current is base:
+                principal[i] = sig
             if sig not in found:
                 found[sig] = grown
-                queue.append(grown)
+                queue.append((sig, grown))
     return [
         found[sig]
         for sig in sorted(

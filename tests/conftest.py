@@ -204,6 +204,39 @@ def scan_conjugacy_classes(group: PermGroup) -> list[tuple[tuple, int]]:
     return classes
 
 
+def bfs_normal_subgroups(group: PermGroup) -> list[PermGroup]:
+    """Every normal subgroup by breadth-first closure over class unions,
+    closing every (subgroup, class representative) pair met; representatives
+    come from `scan_conjugacy_classes`, and results are sorted by order,
+    ties broken by their class-index sets."""
+    reps = [Permutation(t) for t, _ in scan_conjugacy_classes(group)]
+
+    def signature(n: PermGroup) -> frozenset[int]:
+        return frozenset(i for i, r in enumerate(reps) if r in n)
+
+    base = PermGroup((), degree=group.degree)
+    found = {signature(base): base}
+    queue = [base]
+    while queue:
+        current = queue.pop(0)
+        for rep in reps:
+            if rep in current:
+                continue
+            grown = group.normal_closure(
+                PermGroup(current.generators + (rep,), degree=group.degree)
+            )
+            sig = signature(grown)
+            if sig not in found:
+                found[sig] = grown
+                queue.append(grown)
+    return [
+        found[sig]
+        for sig in sorted(
+            found, key=lambda s: (found[s].order(), tuple(sorted(s)))
+        )
+    ]
+
+
 # --------------------------------------------------------------------------
 # brute-force graph automorphism oracle
 # --------------------------------------------------------------------------

@@ -7,6 +7,7 @@ Degrees 0, 1 and 2 are included because a kernel that gathers with
 import random
 
 from amalgamlab import kernels
+from amalgamlab.perm import Permutation
 from conftest import compose_images, conjugate_images, invert_images
 
 
@@ -99,3 +100,11 @@ def test_orbit_transversal():
                     for prev in orbit[:pos]
                     for g in gens
                 )
+
+
+def test_cycle_type():
+    for p in PERMS:
+        cycles = Permutation(p).cycles(include_fixed=True)
+        got = kernels.cycle_type(p)
+        assert type(got) is tuple
+        assert got == tuple(sorted(len(c) for c in cycles))

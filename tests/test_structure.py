@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from amalgamlab import structure
 from amalgamlab.group import (
     PermGroup,
     _Chain,
@@ -34,6 +35,7 @@ from amalgamlab.structure import (
 )
 
 from conftest import (
+    bfs_normal_subgroups,
     compose_images,
     conjugate_images,
     element_set,
@@ -236,7 +238,31 @@ def relabelled_pairs_group(n, rng):
     return PermGroup.from_images(group.degree, gens)
 
 
-def test_conjugacy_classes_match_the_full_walk():
+def pairs_action(group):
+    """A subgroup of Sym(n) acting on the n(n-1) ordered pairs."""
+    from amalgamlab.pairs import build_ordered_pairs
+
+    action = build_ordered_pairs(group.degree)
+    return PermGroup(
+        [action.embed(g) for g in group.generators],
+        degree=action.group.degree,
+    )
+
+
+def _record_class_walks(monkeypatch):
+    """Groups handed to the class walk that finishes a failed type pass."""
+    walked = []
+    finish = structure._class_walk
+
+    def recorded(group, *args):
+        walked.append(group)
+        return finish(group, *args)
+
+    monkeypatch.setattr(structure, "_class_walk", recorded)
+    return walked
+
+
+def test_conjugacy_classes_match_the_full_walk(monkeypatch):
     rng = random.Random(101)
     groups = [random_group(rng, max_order=600) for _ in range(12)]
     groups += [relabelled_pairs_group(n, rng) for n in (4, 5, 6, 7)]
@@ -245,13 +271,33 @@ def test_conjugacy_classes_match_the_full_walk():
     # for the first and yields a bare point for the second.
     groups += [trivial_group(d) for d in (0, 1, 3)]
     groups += [cyclic_group(7), symmetric_group(2)]
-    for g in groups:
+    # A cycle type holding two classes of the group: the type pass cannot
+    # cover these, and the class walk must finish them.
+    split = [
+        alternating_group(5),
+        alternating_group(7),
+        pairs_action(alternating_group(7)),
+    ]
+    walked = _record_class_walks(monkeypatch)
+    for g in groups + split:
         assert _class_list(g) == scan_conjugacy_classes(g)
+    assert all(any(w is g for w in walked) for g in split)
+
+
+def test_sym_pairs_classes_are_certified_without_the_class_walk(monkeypatch):
+    """On Sym(7) on pairs every cycle type is one class, so the type pass
+    covers the group; the class walk never runs."""
+    from amalgamlab.pairs import build_ordered_pairs
+
+    walked = _record_class_walks(monkeypatch)
+    group = build_ordered_pairs(7).group
+    assert _class_list(group) == scan_conjugacy_classes(group)
+    assert walked == []
 
 
 def test_class_walk_stops_at_the_group_order(monkeypatch):
-    """On Sym(7) on pairs the walk ends once its classes cover the group,
-    before the chain has yielded every element."""
+    """On Sym(7) on pairs the type pass ends once its certified classes
+    cover the group, before the chain has yielded every element."""
     from amalgamlab.pairs import build_ordered_pairs
 
     group = build_ordered_pairs(7).group
@@ -271,14 +317,13 @@ def test_class_walk_stops_at_the_group_order(monkeypatch):
 
 
 def test_class_walk_keeps_base_images_only():
-    """Visited elements are remembered by their base images, so the walk
-    over Sym(7) on pairs peaks below |G|·degree·8 bytes, the size of one
-    pointer per image point of every element."""
+    """The class walk remembers visited elements by their base images, so
+    on Alt(7) on pairs, where it runs, the search peaks below
+    |G|·degree·8 bytes, the size of one pointer per image point of every
+    element."""
     import tracemalloc
 
-    from amalgamlab.pairs import build_ordered_pairs
-
-    group = build_ordered_pairs(7).group
+    group = pairs_action(alternating_group(7))
     group.chain()
     tracemalloc.start()
     try:
@@ -286,7 +331,20 @@ def test_class_walk_keeps_base_images_only():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < group.order() * group.degree * 8 == 1_693_440
+    assert peak < group.order() * group.degree * 8 == 846_720
+
+
+def test_normal_subgroups_match_the_unskipped_search():
+    """Skipping closures whose signature is already found changes nothing:
+    same subgroups, same order, same generator lists."""
+    rng = random.Random(107)
+    groups = [random_group(rng, max_order=600) for _ in range(10)]
+    groups += [relabelled_pairs_group(n, rng) for n in (4, 5, 6)]
+    groups += [alternating_group(5)]
+    for g in groups:
+        got = normal_subgroups(g)
+        want = bfs_normal_subgroups(g)
+        assert [n.gen_images() for n in got] == [n.gen_images() for n in want]
 
 
 # -- O_p, O^p ---------------------------------------------------------------

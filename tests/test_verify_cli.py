@@ -397,6 +397,28 @@ def test_cli_huge_file_header_is_exit_2(capsys, tmp_path, argv, text, message):
 
 
 @pytest.mark.parametrize(
+    "command",
+    [
+        ("amalgam", "extract", "{path}"),
+        ("amalgam", "faithful", "{path}"),
+        ("amalgam", "cores", "{path}", "--depth", "1"),
+        ("graph", "coset", "{path}"),
+        ("construct", "section4", "--h", "{path}"),
+    ],
+)
+def test_cli_graph_without_edges_is_exit_2(capsys, tmp_path, command):
+    """A command that defaults to the graph's first edge refuses a graph
+    that has none."""
+    path = tmp_path / "one.txt"
+    path.write_text("1 0\n")
+    argv = [arg.format(path=path) for arg in command]
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: the graph has no edge"]
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (("graph", "balls", "petersen", "--x", "0", "--y", "7", "--radius", "1"),
