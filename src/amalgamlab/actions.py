@@ -174,7 +174,7 @@ def classify_action(group: PermGroup) -> ClassificationReport:
     if not group.is_transitive():
         return ClassificationReport("intransitive", {}, (), None)
     blocks = block_systems(group)
-    lattice = normal_subgroups(group)
+    lattice = normal_subgroups(group, _blocks=blocks)
     order = group.order()
     witnesses: dict[str, PermGroup] = {}
     semiprimitive = True

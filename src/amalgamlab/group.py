@@ -74,6 +74,19 @@ class _Chain:
     point), so with a custom rank the subgroup fixing the first k ranked
     points is exactly the level group reached after consuming them, which
     is how pointwise stabilizers are extracted.
+
+    `bound`, when given, must be a proven upper bound on the order of the
+    generated group G; the Schreier-Sims scan stops once the product of
+    the basic orbit lengths reaches it.  That stop changes nothing: level
+    i's generators fix the base points before it, so its orbit lies in
+    the orbit of the i-th pointwise stabilizer G^(i) and is at most
+    |G^(i) : G^(i+1)| long.  The product of the orbit lengths is thus at
+    most |G : G^(k)| <= |G|, and equal to |G| only when every orbit is
+    full and the base is fixed by the identity alone.  Then every element
+    of G sifts to the identity, every Schreier generator the unbounded
+    scan would go on to test sifts away, and that scan places nothing
+    more: both builds end with the same levels, orbits, transversals and
+    generators.
     """
 
     def __init__(
@@ -82,10 +95,13 @@ class _Chain:
         gen_images: Sequence[tuple],
         rank: Sequence[int] | None = None,
         order_cap: int | None = None,
+        bound: int | None = None,
     ) -> None:
         self.degree = degree
         self.rank = list(rank) if rank is not None else None
         self.order_cap = order_cap if order_cap is not None else guards().order
+        self.bound = bound
+        self.complete = False
         self.levels: list[_Level] = []
         self._identity = tuple(range(degree))
         seeds = []
@@ -104,6 +120,8 @@ class _Chain:
             lvl.gen_set = set(seeds)
             self.levels.append(lvl)
             self._extend_orbit(0)
+        self.complete = self.order() == bound
+        if self.levels:
             self._process(0)
 
     def _point_rank(self, point: int) -> int:
@@ -169,7 +187,7 @@ class _Chain:
                 lvl.gen_set = {img}
                 self.levels.append(lvl)
                 self._extend_orbit(k)
-                self._check_order_cap()
+                self._check_order()
                 return k
             lvl = self.levels[k]
             if m_rank < self._point_rank(lvl.base):
@@ -189,22 +207,26 @@ class _Chain:
                 fresh.gen_set = set(gens)
                 self.levels.append(fresh)
                 self._extend_orbit(k)
-                self._check_order_cap()
+                self._check_order()
                 return k
             if img not in lvl.gen_set:
                 lvl.gens.append(img)
                 lvl.gen_set.add(img)
                 self._extend_orbit(k)
-        self._check_order_cap()
+        self._check_order()
         return j
 
-    def _check_order_cap(self) -> None:
-        if self.order() > self.order_cap:
+    def _check_order(self) -> None:
+        order = self.order()
+        if order > self.order_cap:
             raise GuardExceededError("order", self.order_cap, f"> {self.order_cap}")
+        self.complete = order == self.bound
 
     def _process(self, i: int) -> None:
         """Make levels i.. satisfy the strong generating property, assuming
-        deeper levels already do."""
+        deeper levels already do; nothing once the chain is complete."""
+        if self.complete:
+            return
         self._extend_orbit(i)
         lvl = self.levels[i]
         # Orbit and generator list of this level are frozen during the
@@ -227,6 +249,8 @@ class _Chain:
                 deepest = self._place(residue, i + 1, j)
                 for l in range(deepest, i, -1):
                     self._process(l)
+                if self.complete:
+                    return
 
     def force(self, mapping: dict) -> tuple | None:
         """The element sending every key of mapping to its value, or None.
@@ -258,20 +282,34 @@ class _Chain:
     def basic_orbits(self) -> list[list[int]]:
         return [list(lvl.orbit) for lvl in self.levels]
 
-    def iter_elements(self) -> Iterator[tuple]:
+    def iter_elements(
+        self, through: Callable[[tuple], tuple] | None = None
+    ) -> Iterator[tuple]:
         """All elements, deterministically: identity first, grouped by the
         image of the first base point in increasing order.  The partial
-        product is carried down the tree, one `compose` per tree node."""
+        product is carried down the tree, one `compose` per tree node.
+
+        `through`, a homomorphism on image tuples, makes the walk yield
+        the image of each element instead, in the same order: it maps the
+        coset representatives once and composes their images.
+        """
+        levels = [
+            [lvl.transversal[point] for point in sorted(lvl.orbit)]
+            for lvl in self.levels
+        ]
+        identity = self._identity
+        if through is not None:
+            levels = [list(map(through, reps)) for reps in levels]
+            identity = through(identity)
 
         def rec(i: int, partial: tuple) -> Iterator[tuple]:
-            if i == len(self.levels):
+            if i == len(levels):
                 yield partial
                 return
-            lvl = self.levels[i]
-            for point in sorted(lvl.orbit):
-                yield from rec(i + 1, kernels.compose(lvl.transversal[point], partial))
+            for u in levels[i]:
+                yield from rec(i + 1, kernels.compose(u, partial))
 
-        return rec(0, self._identity)
+        return rec(0, identity)
 
 
 class PermGroup:
@@ -279,9 +317,13 @@ class PermGroup:
 
     Generators keep their input order with identities and duplicates
     dropped; every derived quantity is deterministic in that list.
+
+    A group built from a known group may carry a proven upper bound on its
+    order, taken from how it was built and never from a value a report
+    checks; its chain build stops there (see `_Chain`).
     """
 
-    __slots__ = ("_degree", "_gens", "_chain")
+    __slots__ = ("_degree", "_gens", "_chain", "_bound")
 
     def __init__(
         self,
@@ -305,6 +347,7 @@ class PermGroup:
         self._degree = degree
         self._gens = tuple(gens)
         self._chain: _Chain | None = None
+        self._bound: int | None = None
 
     @classmethod
     def from_images(cls, degree: int, images: Iterable[tuple]) -> "PermGroup":
@@ -323,8 +366,23 @@ class PermGroup:
 
     def chain(self) -> _Chain:
         if self._chain is None:
-            self._chain = _Chain(self._degree, self.gen_images())
+            self._chain = _Chain(self._degree, self.gen_images(), bound=self._bound)
         return self._chain
+
+    def _bounded(self, bound: int | None) -> "PermGroup":
+        """This group, whose order the caller has proven to be at most
+        bound (None: no bound), before its chain is built."""
+        self._bound = bound
+        return self
+
+    def _order_bound(self) -> int | None:
+        """The order if the chain is built, else the bound if any."""
+        return self._chain.order() if self._chain is not None else self._bound
+
+    def _within(self, images: Iterable[tuple]) -> "PermGroup":
+        """Subgroup generated by images the caller built from elements of
+        this group, so bounded by its order."""
+        return PermGroup.from_images(self._degree, images)._bounded(self._order_bound())
 
     def order(self) -> int:
         return self.chain().order()
@@ -455,7 +513,9 @@ class PermGroup:
         rank = [0] * self._degree
         for i, x in enumerate(prefix + rest):
             rank[x] = i
-        chain = _Chain(self._degree, self.gen_images(), rank=rank)
+        chain = _Chain(
+            self._degree, self.gen_images(), rank=rank, bound=self._order_bound()
+        )
         cut = 0
         prefix_set = set(prefix)
         while cut < len(chain.levels) and chain.levels[cut].base in prefix_set:
@@ -467,7 +527,7 @@ class PermGroup:
         if not points:
             return self
         chain, cut = self._prefix_chain(sorted(points))
-        return PermGroup.from_images(self._degree, chain.effective_gens(cut))
+        return _level_group(chain, cut, self._degree)
 
     def stabilizer(self, point: int) -> "PermGroup":
         return self.pointwise_stabilizer([point])
@@ -561,7 +621,7 @@ class PermGroup:
         for img in images:
             if not current.contains_images(img):
                 gens.append(img)
-                current = PermGroup.from_images(self._degree, gens)
+                current = self._within(gens)
         return current
 
     # -- subgroup relations ----------------------------------------------
@@ -594,7 +654,7 @@ class PermGroup:
         return PermGroup.from_images(
             self._degree,
             (kernels.conjugate(s.images, g.images) for s in self._gens),
-        )
+        )._bounded(self._order_bound())
 
     def intersection(self, other: "PermGroup") -> "PermGroup":
         return intersection(self, other)
@@ -610,7 +670,11 @@ class PermGroup:
     # -- normal-subgroup machinery ---------------------------------------
 
     def normal_closure(self, sub: "PermGroup | Iterable[Permutation]") -> "PermGroup":
-        """Smallest subgroup containing sub that is normalized by self."""
+        """Smallest subgroup containing sub that is normalized by self.
+
+        When self's chain is built and contains every seed, the closure
+        lies in self, and each closure group's chain stops at |self|.
+        """
         seed = sub.generators if isinstance(sub, PermGroup) else tuple(sub)
         gens: list[tuple] = []
         seen = set()
@@ -622,7 +686,9 @@ class PermGroup:
             if not s.is_identity() and s.images not in seen:
                 seen.add(s.images)
                 gens.append(s.images)
-        closure = PermGroup.from_images(self._degree, gens)
+        inside = self._chain is not None and all(map(self._chain.contains, gens))
+        bound = self._chain.order() if inside else None
+        closure = PermGroup.from_images(self._degree, gens)._bounded(bound)
         queue = list(gens)
         while queue:
             t = queue.pop(0)
@@ -630,7 +696,7 @@ class PermGroup:
                 c = kernels.conjugate(t, g.images)
                 if not closure.contains_images(c):
                     gens.append(c)
-                    closure = PermGroup.from_images(self._degree, gens)
+                    closure = PermGroup.from_images(self._degree, gens)._bounded(bound)
                     queue.append(c)
         return closure
 
@@ -762,13 +828,20 @@ class ActionHom:
     """Homomorphism from a permutation group to an action on a new domain,
     presented by the images of the source generators.
 
+    Contract: the generator images must extend to a homomorphism phi of
+    the source, as they do for an action on cosets, on an invariant set
+    or on an invariant partition.  Nothing checks it.
+
     Everything is read off the graph group {(g, g^phi)}, which acts on the
     source points 0..n-1 and the target points n..n+m-1 at once (Holt,
     Eick and O'Brien, *Handbook of Computational Group Theory*, 4.4).  Its
     natural chain has the source points first in its base and forces
     images; a chain with the target points first forces preimages, and its
     level that fixes every target point is the kernel.  Each chain is
-    built on first use.
+    built on first use.  By the contract, g -> (g, g^phi) is an
+    isomorphism from the source onto the graph group, so the graph
+    group's chains stop at |source|; images that are no homomorphism
+    would generate a larger graph group, and its chains would stop short.
     """
 
     def __init__(
@@ -790,7 +863,7 @@ class ActionHom:
                 g.images + tuple(n + x for x in h.images)
                 for g, h in zip(self.source.generators, self.generator_images)
             ),
-        )
+        )._bounded(self.source._order_bound())
 
     @cached_property
     def _target_first(self) -> tuple[_Chain, int]:
@@ -819,12 +892,13 @@ class ActionHom:
 
     @cached_property
     def kernel(self) -> PermGroup:
-        n = self.source.degree
         chain, cut = self._target_first
-        return PermGroup.from_images(n, (img[:n] for img in chain.effective_gens(cut)))
+        return _level_group(chain, cut, self.source.degree)
 
     def image_group(self) -> PermGroup:
-        return PermGroup(self.generator_images, degree=self.target_degree)
+        return PermGroup(
+            self.generator_images, degree=self.target_degree
+        )._bounded(self.source._order_bound())
 
     def map_subgroup(self, sub: PermGroup) -> PermGroup:
         if not sub.is_subgroup_of(self.source):
@@ -839,6 +913,18 @@ class ActionHom:
             [self.preimage(h) for h in sub.generators] + list(self.kernel.generators),
             degree=self.source.degree,
         )
+
+
+def _level_group(chain: _Chain, cut: int, degree: int) -> PermGroup:
+    """The level group at index cut of a complete chain, on its first
+    degree points; every element of that level group must fix the rest.
+    Its order is the product of the orbit lengths from cut on."""
+    bound = 1
+    for lvl in chain.levels[cut:]:
+        bound *= len(lvl.orbit)
+    return PermGroup.from_images(
+        degree, (img[:degree] for img in chain.effective_gens(cut))
+    )._bounded(bound)
 
 
 @dataclass(frozen=True)

@@ -77,12 +77,16 @@ class OrderedPairsAction:
         )
 
     def embed_group(self, base: PermGroup) -> PermGroup:
+        """Image of a subgroup of Sym(n), of order at most |base|."""
         return PermGroup(
             (self.embed(g) for g in base.generators), degree=self.degree
-        )
+        )._bounded(base.order())
 
     def coordinate_stabilizer(self, value: int) -> PermGroup:
-        """Image of the base-point stabilizer: all g with g(value) = value."""
+        """Image of the base-point stabilizer: all g with g(value) = value.
+
+        As the image of Sym(n - 1), it has order at most (n - 1)!.
+        """
         gens = []
         others = [x for x in range(self.n) if x != value]
         if len(others) >= 2:
@@ -94,7 +98,7 @@ class OrderedPairsAction:
             for i, x in enumerate(others):
                 cycle[x] = others[(i + 1) % len(others)]
             gens.append(self.embed(Permutation(cycle)))
-        return PermGroup(gens, degree=self.degree)
+        return PermGroup(gens, degree=self.degree)._bounded(factorial(self.n - 1))
 
     @property
     def base_pair_index(self) -> int:
@@ -103,7 +107,9 @@ class OrderedPairsAction:
 
 def build_ordered_pairs(n: int) -> OrderedPairsAction:
     """Sym(n) on ordered pairs; the order guard is checked on n! before
-    any stabilizer chain is built."""
+    any stabilizer chain is built.  As an image of Sym(n), the group has
+    order at most n!, so its chain stops there, and the order check below
+    still fails for an unfaithful action."""
     if n < 3:
         raise ConstructionError("the ordered-pairs action needs n >= 3")
     limit = guards().order
@@ -115,10 +121,15 @@ def build_ordered_pairs(n: int) -> OrderedPairsAction:
     group = PermGroup(
         [placeholder.embed(transposition), placeholder.embed(cycle)],
         degree=n * (n - 1),
-    )
+    )._bounded(factorial(n))
     action = OrderedPairsAction(n, group)
     assert group.order() == factorial(n), "pair action must be faithful"
     return action
+
+
+def _join_inside(group: PermGroup, *subs: PermGroup) -> PermGroup:
+    """The join of subgroups of group, whose chain stops at |group|."""
+    return group._within([t for sub in subs for t in sub.gen_images()])
 
 
 def _faithful_symmetric_restriction(
@@ -185,14 +196,14 @@ def verify_approximation(n: int) -> Report:
         {"normalizer_order": normalizer.order(), "index": normalizer.order() // stab.order() if stab.order() else 0},
     )
     for i, tower in enumerate(towers, start=1):
-        joined = normalizer.join(tower)
+        joined = _join_inside(group, normalizer, tower)
         report.require(
             f"normalizer-join-{i}",
             joined.order() == group.order(),
             "approximation-item-3",
             {"join_order": joined.order(), "group_order": group.order()},
         )
-    both = towers[0].join(towers[1])
+    both = _join_inside(group, *towers)
     report.require(
         "pair-generation",
         both.order() == group.order(),
@@ -243,7 +254,7 @@ def verify_approximation(n: int) -> Report:
                 },
             )
         residuals = [o_upper_p(t, p) for t in towers]
-        joined = residuals[0].join(residuals[1])
+        joined = _join_inside(group, *residuals)
         report.require(
             f"residual-join-transitive-p{p}",
             joined.is_transitive(),

@@ -11,6 +11,10 @@ the classes of the cycle types met in chain order add up to |G|, no class
 is missing.  Only a group in which some cycle type holds several classes
 falls back to closing classes under conjugation.
 
+The normal-subgroup lattice of a transitive group is worked out in a
+faithful action on a minimal block system when there is one, and pulled
+back (see `normal_subgroups`).
+
 Conventions
 -----------
 * The trivial group counts as a p-group for every prime p (order p^0).
@@ -23,12 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 from . import kernels
 from .config import guards
 from .errors import GuardExceededError, WitnessError
-from .group import PermGroup, trivial_group
+from .group import ActionHom, PermGroup, trivial_group
 from .perm import Permutation
 
 __all__ = [
@@ -286,16 +290,91 @@ class ConjugacyClass:
     size: int
 
 
-def conjugacy_classes(group: PermGroup) -> list[ConjugacyClass]:
+class _Image:
+    """A faithful image of a group G, where classes are closed and
+    memberships decided.
+
+    `group` is the image of `source` under `hom`, a faithful action, or
+    `source` itself when `hom` is None; `project` sends an element of G to
+    its image.  A faithful image is isomorphic to G, so conjugacy,
+    membership and closure decide there as they do in G.
+    """
+
+    __slots__ = ("source", "group", "project", "hom")
+
+    def __init__(
+        self,
+        source: PermGroup,
+        group: PermGroup,
+        project: Callable[[tuple], tuple],
+        hom: ActionHom | None = None,
+    ) -> None:
+        self.source = source
+        self.group = group
+        self.project = project
+        self.hom = hom
+
+    @classmethod
+    def itself(cls, group: PermGroup) -> "_Image":
+        return cls(group, group, lambda t: t)
+
+    def walk(self) -> Iterator[tuple]:
+        """The images of G's elements, in G's chain order."""
+        if self.hom is None:
+            return self.source.element_images()
+        return self.source.chain().iter_elements(self.project)
+
+    def preimage(self, img: tuple) -> tuple:
+        if self.hom is None:
+            return img
+        return self.hom.preimage(Permutation._raw(img)).images
+
+    def pull_back(self, sub: PermGroup) -> PermGroup:
+        """The preimage of a subgroup of the image, generated by the
+        preimages of its generators in order."""
+        if self.hom is None:
+            return sub
+        return PermGroup.from_images(
+            self.source.degree, map(self.preimage, sub.gen_images())
+        )._bounded(sub.order())
+
+
+def _faithful_block_image(
+    group: PermGroup, blocks: Sequence[tuple[tuple[int, ...], ...]]
+) -> _Image:
+    """The action on the first of the block systems (fewest blocks first)
+    whose block action is faithful, or the group itself when none is."""
+    from .actions import induced_action
+
+    for system in blocks:
+        hom = induced_action(group, system)
+        image = hom.image_group()
+        if image.order() != group.order():
+            continue
+        block_of = [0] * group.degree
+        for i, block in enumerate(system):
+            for x in block:
+                block_of[x] = i
+        # A block goes to the block that holds the image of its first point.
+        firsts = itemgetter(*(block[0] for block in system))
+        return _Image(
+            group, image, lambda t: tuple(map(block_of.__getitem__, firsts(t))), hom
+        )
+    return _Image.itself(group)
+
+
+def conjugacy_classes(
+    group: PermGroup, *, _image: _Image | None = None
+) -> list[ConjugacyClass]:
     """All conjugacy classes; representatives in element-enumeration order.
 
     Type pass: the elements are walked in chain order, and each one whose
-    cycle type (on the group's points) is new becomes a representative.
-    Two elements of different cycle types are not conjugate even in the
-    full symmetric group, so these classes are distinct, and once their
-    sizes add up to |G| they are all the classes: the walk stops there.
-    Every class lies inside one cycle type, so the first element of a type
-    that is one class is the first element of that class.
+    cycle type is new becomes a representative.  Two elements of different
+    cycle types are not conjugate even in the full symmetric group, so
+    these classes are distinct, and once their sizes add up to |G| they
+    are all the classes: the walk stops there.  Every class lies inside
+    one cycle type, so the first element of a type that is one class is
+    the first element of that class.
 
     A class is sized by closing it under conjugation by the generators
     while it has at most b*m elements, for a chain of b levels holding m
@@ -307,20 +386,29 @@ def conjugacy_classes(group: PermGroup) -> list[ConjugacyClass]:
 
     Once a type has met more elements than its class holds, it is a union
     of several classes (as in Alt(n)), and `_class_walk` finishes.
+
+    `_image`, from `normal_subgroups`, is a faithful image of the group:
+    the walk then keeps the group's chain order but carries each element
+    as its image, and cycle types, closures and centralizers are taken in
+    the image.  Images of conjugate elements are conjugate in the image,
+    so the cycle type there is a class invariant as well, and the
+    argument above holds unchanged: the representatives are the same.
     """
     group._scan_guard()
+    image = _image if _image is not None else _Image.itself(group)
     order = group.order()
-    base = group.base()
+    target = image.group
+    base = target.base()
     # itemgetter needs at least one point; only the trivial group has none.
     key = itemgetter(*base) if base else (lambda t: ())
-    gens = [(kernels.inverse(s), s) for s in group.gen_images()]
-    limit = len(base) * sum(len(orbit) for orbit in group.basic_orbits())
+    gens = [(kernels.inverse(s), s) for s in target.gen_images()]
+    limit = len(base) * sum(len(orbit) for orbit in target.basic_orbits())
     classes: list[ConjugacyClass] = []
     positions: list[int] = []
     type_index: dict[tuple, int] = {}
     counts: list[int] = []
     covered = 0
-    for pos, t in enumerate(group.element_images()):
+    for pos, t in enumerate(image.walk()):
         ct = kernels.cycle_type(t)
         i = type_index.get(ct)
         if i is not None:
@@ -329,43 +417,44 @@ def conjugacy_classes(group: PermGroup) -> list[ConjugacyClass]:
                 break
             continue
         type_index[ct] = len(classes)
-        rep = Permutation._raw(t)
         size = _close_class(t, gens, key, set(), limit)
         if size is None:
-            size = order // group.centralizer(rep).order()
-        classes.append(ConjugacyClass(rep, size))
+            size = order // target.centralizer(Permutation._raw(t)).order()
+        classes.append(ConjugacyClass(Permutation._raw(image.preimage(t)), size))
         positions.append(pos)
         counts.append(1)
         covered += size
         if covered == order:
             return classes
-    return _class_walk(group, classes, positions, gens, key)
+    return _class_walk(group, classes, positions, image, gens, key)
 
 
 def _class_walk(
     group: PermGroup,
     classes: list[ConjugacyClass],
     positions: list[int],
+    image: _Image,
     gens: list[tuple[tuple, tuple]],
     key: Callable[[tuple], object],
 ) -> list[ConjugacyClass]:
     """Finish a type pass that met a type holding several classes.
 
     The classes found, `classes[i]` first met at chain position
-    `positions[i]`, are closed under conjugation.  The walk then starts
-    again; each element outside the closed classes starts a new one, and
-    the walk stops once the classes cover the group.
+    `positions[i]`, are closed under conjugation in the image.  The walk
+    then starts again; each element outside the closed classes starts a
+    new one, and the walk stops once the classes cover the group.
     """
     order = group.order()
     visited: set = set()
     for c in classes:
-        _close_class(c.representative.images, gens, key, visited)
+        _close_class(image.project(c.representative.images), gens, key, visited)
     found = list(zip(positions, classes))
-    for pos, t in enumerate(group.element_images()):
+    for pos, t in enumerate(image.walk()):
         if key(t) in visited:
             continue
         size = _close_class(t, gens, key, visited)
-        found.append((pos, ConjugacyClass(Permutation._raw(t), size)))
+        rep = Permutation._raw(image.preimage(t))
+        found.append((pos, ConjugacyClass(rep, size)))
         if len(visited) == order:
             break
     found.sort(key=itemgetter(0))
@@ -402,7 +491,11 @@ def _close_class(
     return len(orbit)
 
 
-def normal_subgroups(group: PermGroup) -> list[PermGroup]:
+def normal_subgroups(
+    group: PermGroup,
+    *,
+    _blocks: Sequence[tuple[tuple[int, ...], ...]] | None = None,
+) -> list[PermGroup]:
     """Every normal subgroup, via breadth-first closure over class unions.
 
     A normal subgroup is a union of conjugacy classes, so the class-index
@@ -417,14 +510,33 @@ def normal_subgroups(group: PermGroup) -> list[PermGroup]:
     closure contains every class of N and of ncl(r_i), hence that
     subgroup.  The two are equal, so the closure would only be found
     again.
+
+    Faithful-image rule: when the group is transitive and its action on
+    one of its minimal block systems is faithful, all of this runs in the
+    image of the first such system in `block_systems` order, the one with
+    the fewest blocks; Sym(8) on its 56 ordered pairs becomes Sym(8) on 8
+    points.  `_blocks` passes the systems when the caller has them.  The
+    classes are sized there, and the normal-closure BFS and every
+    signature test run on the images of the representatives, the
+    generators and the subgroups.  In an isomorphic image each closure
+    and membership test decides as in the group, so the BFS meets the
+    images of the group's generator lists in the same order, and
+    `ActionHom.preimage` pulls them back unchanged.  Any other group
+    takes the same path in itself.
     """
-    classes = conjugacy_classes(group)
-    reps = [c.representative for c in classes]
+    if _blocks is None and group.is_transitive():
+        from .actions import block_systems
+
+        _blocks = block_systems(group)
+    image = _faithful_block_image(group, _blocks or ())
+    classes = conjugacy_classes(group, _image=image)
+    target = image.group
+    reps = [image.project(c.representative.images) for c in classes]
 
     def signature(n: PermGroup) -> frozenset[int]:
-        return frozenset(i for i, r in enumerate(reps) if r in n)
+        return frozenset(i for i, r in enumerate(reps) if n.contains_images(r))
 
-    base = trivial_group(group.degree)
+    base = trivial_group(target.degree)
     start = signature(base)
     found = {start: base}
     principal: dict[int, frozenset[int]] = {}
@@ -434,8 +546,8 @@ def normal_subgroups(group: PermGroup) -> list[PermGroup]:
         for i, rep in enumerate(reps):
             if i in csig or (i in principal and csig | principal[i] in found):
                 continue
-            grown = group.normal_closure(
-                PermGroup(current.generators + (rep,), degree=group.degree)
+            grown = target.normal_closure(
+                PermGroup.from_images(target.degree, current.gen_images() + [rep])
             )
             sig = signature(grown)
             if current is base:
@@ -444,7 +556,7 @@ def normal_subgroups(group: PermGroup) -> list[PermGroup]:
                 found[sig] = grown
                 queue.append((sig, grown))
     return [
-        found[sig]
+        image.pull_back(found[sig])
         for sig in sorted(
             found, key=lambda s: (found[s].order(), tuple(sorted(s)))
         )

@@ -471,6 +471,107 @@ def test_base_and_basic_orbits_consistent():
     assert len(base) == len(g.basic_orbits())
 
 
+def _chain_state(chain):
+    """Every level of a chain, dict entries in insertion order."""
+    return [
+        (
+            lvl.base,
+            list(lvl.orbit),
+            list(lvl.transversal.items()),
+            list(lvl.inverse.items()),
+            list(lvl.gens),
+        )
+        for lvl in chain.levels
+    ]
+
+
+def _random_generators(rng):
+    """A few random permutations of degree 2..14, some moving only part of
+    the points, so that the groups range from cyclic to Sym(14)."""
+    degree = rng.randrange(2, 15)
+    gens = []
+    for _ in range(rng.randrange(1, 4)):
+        points = rng.sample(range(degree), rng.randrange(2, degree + 1))
+        shuffled = points[:]
+        rng.shuffle(shuffled)
+        images = list(range(degree))
+        for x, y in zip(points, shuffled):
+            images[x] = y
+        gens.append(tuple(images))
+    return degree, gens
+
+
+def _bounded_matches(degree, gens, rank, counted):
+    """The chain built with its true order as bound equals the unbounded
+    chain; returns the sifts each build made."""
+    counted.clear()
+    full = _Chain(degree, gens, rank=rank)
+    unbounded_sifts = len(counted)
+    counted.clear()
+    bounded = _Chain(degree, gens, rank=rank, bound=full.order())
+    assert bounded.complete
+    assert _chain_state(bounded) == _chain_state(full)
+    return unbounded_sifts, len(counted)
+
+
+def _count_sifts(monkeypatch):
+    calls = []
+    sift = _Chain.sift
+
+    def counted(self, img, start=0):
+        calls.append(start)
+        return sift(self, img, start)
+
+    monkeypatch.setattr(_Chain, "sift", counted)
+    return calls
+
+
+def test_known_order_stop_builds_the_same_chain(monkeypatch):
+    """Schreier-Sims stopped at the group's order leaves every level as the
+    full scan does: base, orbit order, transversals, inverses, generators."""
+    rng = random.Random(2026)
+    counted = _count_sifts(monkeypatch)
+    saved = 0
+    for _ in range(400):
+        degree, gens = _random_generators(rng)
+        rank = None
+        if rng.random() < 0.5:
+            rank = list(range(degree))
+            rng.shuffle(rank)
+        full_sifts, bounded_sifts = _bounded_matches(degree, gens, rank, counted)
+        assert bounded_sifts <= full_sifts
+        saved += full_sifts - bounded_sifts
+    assert saved > 0
+
+
+def test_known_order_stop_on_graph_groups(monkeypatch):
+    """The same on the graph groups of coset and induced actions, in their
+    natural and their target-first ranking, bounded by |source|."""
+    from amalgamlab.actions import induced_action
+
+    rng = random.Random(2027)
+    counted = _count_sifts(monkeypatch)
+    for _ in range(40):
+        g = random_group(rng, max_order=300)
+        if rng.random() < 0.5:
+            hom = g.coset_action(random_subgroup(rng, g))
+        else:
+            orbits = g.orbits()
+            if rng.random() < 0.5:
+                hom = induced_action(g, rng.choice(orbits))
+            else:
+                normal = g.normal_closure([rng.choice(list(g.elements()))])
+                hom = induced_action(g, normal.orbits())
+        graph = hom._graph
+        assert graph._bound == g.order()
+        n, degree = g.degree, graph.degree
+        target_first = [0] * degree
+        for i, x in enumerate(list(range(n, degree)) + list(range(n))):
+            target_first[x] = i
+        for rank in (None, target_first):
+            _bounded_matches(degree, graph.gen_images(), rank, counted)
+
+
 def test_order_guard_trips_on_huge_groups():
     with pytest.raises(GuardExceededError):
         symmetric_group(60).order()

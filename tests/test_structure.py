@@ -347,6 +347,54 @@ def test_normal_subgroups_match_the_unskipped_search():
         assert [n.gen_images() for n in got] == [n.gen_images() for n in want]
 
 
+def _wreath(k, m):
+    """Sym(k) wr Sym(m) on m blocks of k points, blocks {ik, ..., ik+k-1}."""
+    degree = k * m
+    gens = []
+    for cycle in ((0, 1), tuple(range(k))):
+        images = list(range(degree))
+        for i, x in enumerate(cycle):
+            images[x] = cycle[(i + 1) % len(cycle)]
+        gens.append(Permutation(images))
+    for cycle in ((0, 1), tuple(range(m))):
+        images = list(range(degree))
+        for i, b in enumerate(cycle):
+            for x in range(k):
+                images[b * k + x] = cycle[(i + 1) % len(cycle)] * k + x
+        gens.append(Permutation(images))
+    return PermGroup(gens, degree=degree)
+
+
+def test_normal_subgroups_in_the_faithful_block_image(monkeypatch):
+    """The lattice work in a faithful block action gives the oracle's
+    subgroups with the oracle's generator lists.  Sym(n) and Alt(n) on
+    pairs act faithfully on the n blocks of a first coordinate (Alt(n)
+    also reaches the class walk there); the wreath products' block actions
+    have a kernel, so they stay in themselves."""
+    from amalgamlab.pairs import build_ordered_pairs
+
+    chosen = []
+    choose = structure._faithful_block_image
+
+    def spy(group, blocks):
+        image = choose(group, blocks)
+        chosen.append((group, image.group.degree))
+        return image
+
+    monkeypatch.setattr(structure, "_faithful_block_image", spy)
+    walked = _record_class_walks(monkeypatch)
+    split = [pairs_action(alternating_group(n)) for n in (6, 7)]
+    # Each group with the degree of the image its lattice work runs in.
+    cases = [(build_ordered_pairs(n).group, n) for n in (4, 5, 6, 7)]
+    cases += [(split[0], 6), (split[1], 7), (_wreath(2, 3), 6), (_wreath(3, 2), 6)]
+    for g, _ in cases:
+        got = normal_subgroups(g)
+        want = bfs_normal_subgroups(g)
+        assert [n.gen_images() for n in got] == [n.gen_images() for n in want]
+    assert [(id(g), d) for g, d in chosen] == [(id(g), d) for g, d in cases]
+    assert all(any(w is g for w in walked) for g in split)
+
+
 # -- O_p, O^p ---------------------------------------------------------------
 
 

@@ -285,6 +285,33 @@ def test_cli_classify_pairs(capsys):
     assert report["checks"][0]["details"]["level"] == "semiprimitive"
 
 
+def test_cli_classify_pairs8_report_is_pinned(capsys):
+    """The whole n = 8 report, byte for byte: the lattice work runs in the
+    action on 8 blocks, and nothing of it may show."""
+    code, out, err = run_cli(capsys, "action", "classify", "--pairs", "8", "--json")
+    assert (code, err) == (0, "")
+    blocks = [list(range(7 * i, 7 * i + 7)) for i in range(8)]
+    assert json.loads(out) == {
+        "command": "action classify",
+        "inputs": {"source": "pairs n=8", "degree": 56, "order": 40320},
+        "checks": [
+            {
+                "name": "classification",
+                "status": "pass",
+                "paper_anchor": "action-hierarchy",
+                "details": {
+                    "level": "quasiprimitive",
+                    "witness_orders": {},
+                    "block_system": blocks,
+                    "plinth_orders": [20160],
+                },
+            }
+        ],
+        "overall": "pass",
+    }
+    assert out == json.dumps(json.loads(out)) + "\n"
+
+
 def test_cli_lemma_range_emits_one_report_per_n(capsys):
     code, out, _ = run_cli(capsys, "lemma", "verify", "--n", "4..6", "--json")
     assert code == 0
