@@ -21,7 +21,6 @@ from .config import guards
 from .errors import ConstructionError, GuardExceededError, WitnessError
 from .group import ActionHom, PermGroup
 from .perm import Permutation
-from .structure import normal_subgroups
 
 __all__ = [
     "ActionProfile",
@@ -171,6 +170,8 @@ class ClassificationReport:
 
 
 def classify_action(group: PermGroup) -> ClassificationReport:
+    from .structure import normal_subgroups
+
     if not group.is_transitive():
         return ClassificationReport("intransitive", {}, (), None)
     blocks = block_systems(group)

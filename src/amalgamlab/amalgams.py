@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kernels
-from .actions import induced_action, permutation_isomorphism
 from .errors import AmalgamError, ConstructionError
 from .graphs import PairInstance
 from .group import PermGroup, intersection
@@ -292,6 +291,8 @@ def inflate_amalgam(
     The kernel of L's action on the S-orbits must be S itself (automatic
     for semiprimitive L); this is validated, not assumed.
     """
+    from .actions import induced_action, permutation_isomorphism
+
     n = base.degree
     if seed.degree != n:
         raise ConstructionError("seed must act on the base group's domain")
@@ -414,6 +415,8 @@ def verify_inflation(cert: InflationCertificate, depth: int = 3) -> Report:
     step repeats, so a depth past the bit length of the larger vertex-group
     order only repeats and raises ConstructionError.
     """
+    from .actions import permutation_isomorphism
+
     out = cert.amalgam
     h_am = cert.input_amalgam
     order = max(h_am.a.order(), out.a.order())

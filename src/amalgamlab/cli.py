@@ -5,6 +5,12 @@ human-readable (default) or as JSON objects, one per line, with ``--json``.
 The exit code is a pure function of the reports: 0 when every check passed
 or was vacuous, 1 when at least one check is violated, 2 for usage, input,
 or guard errors.
+
+Each handler imports the library names it calls at the top of its own
+body, so a command loads only the modules it runs: a graph command never
+compiles the ordered-pairs, structure or verifier modules.  At module level
+this file imports only ``argparse``, ``os``, ``sys``, ``errors`` and
+``report``.
 """
 
 from __future__ import annotations
@@ -12,42 +18,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from math import factorial
-from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .actions import classify_action
-from .amalgams import (
-    Amalgam,
-    amalgam_from_pair,
-    core_sequence,
-    faithful_kernel,
-    inflate_amalgam,
-    verify_inflation,
-)
 from .errors import AmalgamlabError, GraphError
-from .graphs import (
-    PairInstance,
-    catalog_graph,
-    catalog_names,
-    coset_graph,
-    graph_automorphisms,
-    pair_instance,
-    parse_graph,
-    stabilizer_series,
-    stabilizer_series_pair,
-)
-from .group import PermGroup
-from .pairs import build_ordered_pairs, verify_approximation
-from .perm import format_group_file, parse_group_file
 from .report import Report
-from .structure import o_p, p_valuation
-from .verify import (
-    edge_context,
-    hauptlemma_check,
-    proof_trace,
-    regular_base_instance,
-    verify_theorem,
-)
+
+if TYPE_CHECKING:
+    from .amalgams import Amalgam
+    from .graphs import PairInstance
 
 __all__ = ["main", "cli_dispatch"]
 
@@ -85,6 +63,16 @@ def _within_graph(value: int, inst: PairInstance, flag: str) -> None:
 
 def _load_instance(source: str) -> PairInstance:
     """A catalog name, or a path to a graph file (automorphisms computed)."""
+    from pathlib import Path
+
+    from .graphs import (
+        catalog_graph,
+        catalog_names,
+        graph_automorphisms,
+        pair_instance,
+        parse_graph,
+    )
+
     if source in catalog_names():
         return catalog_graph(source)
     graph = parse_graph(Path(source).read_text())
@@ -120,6 +108,10 @@ def _instance_edge(
 
 def _section4_pipeline(h_source: str):
     """Catalog H-amalgam inflated over the n = 4 pairs action and its seed."""
+    from .actions import classify_action
+    from .amalgams import amalgam_from_pair, inflate_amalgam
+    from .pairs import build_ordered_pairs
+
     base = build_ordered_pairs(4).group
     seed = classify_action(base).witnesses["quasiprimitive"]
     inst = _load_instance(h_source)
@@ -128,6 +120,13 @@ def _section4_pipeline(h_source: str):
 
 
 def _theorem_instance(args: argparse.Namespace) -> PairInstance | Amalgam:
+    from pathlib import Path
+
+    from .graphs import pair_instance, parse_graph
+    from .group import PermGroup
+    from .perm import parse_group_file
+    from .verify import regular_base_instance
+
     if args.construct is not None:
         if args.n != 4:
             raise AmalgamlabError(
@@ -151,6 +150,12 @@ def _theorem_instance(args: argparse.Namespace) -> PairInstance | Amalgam:
 
 
 def _cmd_action_build_pairs(args: argparse.Namespace) -> list[Report]:
+    from math import factorial
+    from pathlib import Path
+
+    from .pairs import build_ordered_pairs
+    from .perm import format_group_file
+
     action = build_ordered_pairs(args.n)
     report = Report(
         "action build-pairs",
@@ -182,6 +187,13 @@ def _cmd_action_build_pairs(args: argparse.Namespace) -> list[Report]:
 
 
 def _cmd_action_classify(args: argparse.Namespace) -> list[Report]:
+    from pathlib import Path
+
+    from .actions import classify_action
+    from .group import PermGroup
+    from .pairs import build_ordered_pairs
+    from .perm import parse_group_file
+
     if args.pairs is not None:
         group = build_ordered_pairs(args.pairs).group
         source = f"pairs n={args.pairs}"
@@ -207,6 +219,8 @@ def _cmd_action_classify(args: argparse.Namespace) -> list[Report]:
 
 
 def _cmd_lemma_verify(args: argparse.Namespace) -> list[Report]:
+    from .pairs import verify_approximation
+
     return [verify_approximation(n) for n in _parse_n_range(args.n)]
 
 
@@ -234,6 +248,8 @@ def _cmd_graph_autos(args: argparse.Namespace) -> list[Report]:
 
 
 def _cmd_graph_balls(args: argparse.Namespace) -> list[Report]:
+    from .graphs import stabilizer_series, stabilizer_series_pair
+
     _at_least(args.radius, 0, "--radius")
     inst = _load_instance(args.source)
     _within_graph(args.radius, inst, "--radius")
@@ -266,6 +282,8 @@ def _cmd_graph_balls(args: argparse.Namespace) -> list[Report]:
 
 
 def _cmd_graph_coset(args: argparse.Namespace) -> list[Report]:
+    from .graphs import coset_graph
+
     inst = _load_instance(args.source)
     x, y = _instance_edge(inst, _parse_edge(args.edge))
     rebuilt = coset_graph(
@@ -302,6 +320,8 @@ def _cmd_graph_coset(args: argparse.Namespace) -> list[Report]:
 
 
 def _cmd_graph_catalog(args: argparse.Namespace) -> list[Report]:
+    from .graphs import catalog_graph, catalog_names
+
     report = Report("graph catalog", {"names": list(catalog_names())})
     for name in catalog_names():
         inst = catalog_graph(name)
@@ -319,6 +339,8 @@ def _cmd_graph_catalog(args: argparse.Namespace) -> list[Report]:
 
 
 def _cmd_amalgam_extract(args: argparse.Namespace) -> list[Report]:
+    from .amalgams import amalgam_from_pair
+
     inst = _load_instance(args.source)
     x, y = _instance_edge(inst, _parse_edge(args.edge))
     amalgam = amalgam_from_pair(inst, x, y)
@@ -348,6 +370,8 @@ def _cmd_amalgam_extract(args: argparse.Namespace) -> list[Report]:
 
 
 def _cmd_amalgam_faithful(args: argparse.Namespace) -> list[Report]:
+    from .amalgams import amalgam_from_pair, faithful_kernel
+
     inst = _load_instance(args.source)
     x, y = _instance_edge(inst, _parse_edge(args.edge))
     amalgam = amalgam_from_pair(inst, x, y)
@@ -365,6 +389,9 @@ def _cmd_amalgam_faithful(args: argparse.Namespace) -> list[Report]:
 
 
 def _cmd_amalgam_cores(args: argparse.Namespace) -> list[Report]:
+    from .amalgams import amalgam_from_pair, core_sequence
+    from .graphs import stabilizer_series, stabilizer_series_pair
+
     _at_least(args.depth, 1, "--depth")
     inst = _load_instance(args.source)
     _within_graph(args.depth, inst, "--depth")
@@ -394,6 +421,8 @@ def _cmd_amalgam_cores(args: argparse.Namespace) -> list[Report]:
 
 
 def _cmd_construct_section4(args: argparse.Namespace) -> list[Report]:
+    from .amalgams import verify_inflation
+
     _at_least(args.depth, 1, "--depth")
     certificate = _section4_pipeline(args.h)
     report = verify_inflation(certificate, depth=args.depth)
@@ -402,12 +431,18 @@ def _cmd_construct_section4(args: argparse.Namespace) -> list[Report]:
 
 
 def _cmd_verify_theorem(args: argparse.Namespace) -> list[Report]:
+    from .graphs import PairInstance
+    from .verify import verify_theorem
+
     instance = _theorem_instance(args)
     edge = _parse_edge(args.edge) if isinstance(instance, PairInstance) else None
     return [verify_theorem(instance, args.n, edge=edge)]
 
 
 def _cmd_trace_claims(args: argparse.Namespace) -> list[Report]:
+    from .graphs import PairInstance
+    from .verify import proof_trace
+
     instance = _theorem_instance(args)
     edge = _parse_edge(args.edge) if isinstance(instance, PairInstance) else None
     trace, report = proof_trace(instance, args.n, edge=edge)
@@ -428,6 +463,11 @@ def _cmd_trace_claims(args: argparse.Namespace) -> list[Report]:
 
 
 def _cmd_check_hauptlemma(args: argparse.Namespace) -> list[Report]:
+    from .graphs import PairInstance
+    from .group import PermGroup
+    from .structure import o_p, p_valuation
+    from .verify import edge_context, hauptlemma_check
+
     instance = _theorem_instance(args)
     edge = _parse_edge(args.edge) if isinstance(instance, PairInstance) else None
     ctx = edge_context(instance, depth=1, edge=edge)

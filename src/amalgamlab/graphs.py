@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-from .actions import induced_action, permutation_isomorphism
 from .config import guards
 from .errors import (
     ConstructionError,
@@ -23,8 +23,10 @@ from .errors import (
     GuardExceededError,
 )
 from .group import ActionHom, PermGroup
-from .pairs import OrderedPairsAction
 from .perm import Permutation
+
+if TYPE_CHECKING:
+    from .pairs import OrderedPairsAction
 
 __all__ = [
     "Graph",
@@ -424,6 +426,8 @@ def local_action(inst: PairInstance, x: int) -> ActionHom:
 
     The kernel of the returned homomorphism is the radius-1 ball stabilizer
     (every vertex-stabilizer element fixing each neighbor)."""
+    from .actions import induced_action
+
     _check_vertex(inst.graph, x)
     stab = inst.group.stabilizer(x)
     return induced_action(stab, list(inst.graph.neighbors(x)))
@@ -498,6 +502,8 @@ def is_locally(
     to the given group; the witnessing point bijection is returned.  By
     vertex-transitivity the base vertex 0 decides for every vertex.
     """
+    from .actions import permutation_isomorphism
+
     valency = inst.graph.degree(0)
     if local_group.degree != valency:
         raise DegreeMismatchError(

@@ -22,13 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .actions import induced_action
 from .config import guards
 from .errors import ConstructionError, DegreeMismatchError, GuardExceededError
 from .group import PermGroup, alternating_group
 from .perm import Permutation
 from .report import Report
-from .structure import is_prime, o_p, o_upper_p, sylow
 
 __all__ = [
     "OrderedPairsAction",
@@ -137,6 +135,8 @@ def _faithful_symmetric_restriction(
 ) -> tuple[bool, int]:
     """Does sub act faithfully as the full symmetric group on the pairs
     whose first coordinate is the fixed value?"""
+    from .actions import induced_action
+
     invariant = [
         action.pair_index(value, b) for b in range(action.n) if b != value
     ]
@@ -151,6 +151,8 @@ def _faithful_symmetric_restriction(
 
 def verify_approximation(n: int) -> Report:
     """Check the pair-stabilizer approximation statement on a concrete n."""
+    from .structure import is_prime, o_p, o_upper_p, sylow
+
     if n < 4:
         raise ConstructionError("approximation checks need n >= 4")
     action = build_ordered_pairs(n)

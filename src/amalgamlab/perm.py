@@ -16,7 +16,7 @@ one permutation per line, blank lines and "#" comments ignored.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from . import kernels
 from .config import guards
@@ -227,12 +227,3 @@ def parse_group_file(text: str) -> tuple[int, list[Permutation]]:
     if degree is None:
         raise FormatError("missing 'degree N' header")
     return degree, gens
-
-
-def _identity_images(degree: int) -> tuple:
-    return tuple(range(degree))
-
-
-def _as_image_tuples(perms: Iterable[Permutation]) -> Iterator[tuple]:
-    for p in perms:
-        yield p.images

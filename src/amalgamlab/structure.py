@@ -167,13 +167,17 @@ def sylow(group: PermGroup, p: int) -> PermGroup:
 
 
 def o_p(group: PermGroup, p: int) -> PermGroup:
-    """Largest normal p-subgroup: the core of any Sylow p-subgroup."""
+    """Largest normal p-subgroup: the core of any Sylow p-subgroup.
+
+    A nontrivial p-group is its own largest normal p-subgroup, so it is
+    returned before any Sylow subgroup is grown."""
     _require_prime(p)
+    a, r = p_valuation(group.order(), p)
+    if a and r == 1:
+        return group
     sub = sylow(group, p)
     if sub.is_trivial():
         return sub
-    if sub.order() == group.order():
-        return group
     return group.core(sub)
 
 

@@ -502,14 +502,16 @@ def proof_trace(
 
     towers = _coordinate_tower_preimages(ctx, ref)
     stars = tuple(r.normal_closure(s_xy) for r in towers)
+    family = _characteristic_family(s_xy, p)
     for i, (tower, star) in enumerate(zip(towers, stars), start=1):
+        radical = o_p(star, p)
         report.require(
             f"claim3-radical-r{i}",
-            o_p(star, p) == q_x,
+            radical == q_x,
             "claim-3",
             {
                 "closure_order": star.order(),
-                "radical_order": o_p(star, p).order(),
+                "radical_order": radical.order(),
                 "q_x_order": q_x.order(),
             },
         )
@@ -547,7 +549,6 @@ def proof_trace(
                 "sylow_order": p**star_exponent,
             },
         )
-        family = _characteristic_family(s_xy, p)
         normal_members = {
             name: sub.order()
             for name, sub in family
@@ -564,13 +565,14 @@ def proof_trace(
         )
         away = o_upper_p(star, p)
         pinned = commutator_subgroup(ctx.vertex_cores[1], away)
+        center = star.center()
         report.require(
             f"claim5-commutator-r{i}",
-            pinned.is_subgroup_of(star.center()),
+            pinned.is_subgroup_of(center),
             "claim-5",
             {
                 "commutator_order": pinned.order(),
-                "center_order": star.center().order(),
+                "center_order": center.order(),
             },
         )
 

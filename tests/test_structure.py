@@ -407,6 +407,20 @@ def test_o_p_knowns():
     assert o_p(alternating_group(5), 2).order() == 1
 
 
+def test_o_p_of_a_p_group_is_the_group_without_a_sylow_search(monkeypatch):
+    def refuse(group, p):
+        raise AssertionError("sylow called on a p-group")
+
+    monkeypatch.setattr(structure, "sylow", refuse)
+    for group, p in (
+        (dihedral_group(4), 2),
+        (quaternion_group(), 2),
+        (cyclic_group(9), 3),
+        (symmetric_group(3).stabilizer(0), 2),
+    ):
+        assert o_p(group, p) is group
+
+
 def test_o_p_is_largest_normal_p_subgroup():
     rng = random.Random(101)
     for _ in range(12):

@@ -556,6 +556,49 @@ def test_cli_closed_stdout_is_quiet():
     assert proc.returncode == 0
 
 
+_LOADED_MODULES = """
+import sys
+from amalgamlab.cli import cli_dispatch
+code = cli_dispatch(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("amalgamlab.")),
+      file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, runs, skips",
+    [
+        ("graph autos k4", "graphs",
+         {"actions", "structure", "pairs", "amalgams", "verify"}),
+        ("amalgam cores k4", "amalgams",
+         {"actions", "structure", "pairs", "verify"}),
+        ("action build-pairs --n 4", "pairs",
+         {"actions", "structure", "graphs", "amalgams", "verify"}),
+        ("lemma verify --n 4", "structure", {"graphs", "amalgams", "verify"}),
+        ("action classify --group {group}", "structure",
+         {"graphs", "amalgams", "verify"}),
+    ],
+)
+def test_cli_command_loads_only_the_modules_it_runs(tmp_path, argv, runs, skips):
+    """Each command, run in a fresh interpreter, imports only its part of
+    the package: a module-level import that pulls in the rest shows here."""
+    group_file = tmp_path / "pairs4.group"
+    action = build_ordered_pairs(4)
+    group_file.write_text(format_group_file(action.degree, action.group.generators))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_MODULES,
+         *argv.format(group=group_file).split()],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    code, *modules = proc.stderr.split()
+    loaded = {m.removeprefix("amalgamlab.") for m in modules}
+    assert code == "0"
+    assert {"cli", runs} <= loaded
+    assert not loaded & skips
+
+
 def test_cli_unknown_subcommand_is_exit_2(capsys):
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == 2
