@@ -14,6 +14,7 @@ actions induced on invariant sets and invariant partitions.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from . import kernels
@@ -268,14 +269,8 @@ def permutation_isomorphism(
     if g2.degree != n or g1.order() != g2.order():
         return None
     ids1, ids2 = _pair_orbit_ids(g1), _pair_orbit_ids(g2)
-    count1: dict[int, int] = {}
-    count2: dict[int, int] = {}
-    for row in ids1:
-        for v in row:
-            count1[v] = count1.get(v, 0) + 1
-    for row in ids2:
-        for v in row:
-            count2[v] = count2.get(v, 0) + 1
+    count1 = Counter(v for row in ids1 for v in row)
+    count2 = Counter(v for row in ids2 for v in row)
     if sorted(count1.values()) != sorted(count2.values()):
         return None
     gen_images = g1.gen_images()
@@ -285,42 +280,30 @@ def permutation_isomorphism(
     orbit_map: dict[int, int] = {}
     orbit_map_rev: dict[int, int] = {}
 
-    def admissible(x: int, y: int) -> list[tuple[int, int]]:
-        added = []
+    def undo(added: list[int]) -> None:
+        for o1 in added:
+            del orbit_map_rev[orbit_map.pop(o1)]
+
+    def admissible(x: int, y: int) -> list[int] | None:
+        """Bind the pair orbits that mapping x to y forces; the orbits
+        newly bound, or None (with nothing bound) if that clashes."""
+        added: list[int] = []
         for prev in range(x + 1):
             px = b[prev] if prev < x else y
             for o1, o2 in (
                 (ids1[prev][x], ids2[px][y]),
                 (ids1[x][prev], ids2[y][px]),
             ):
-                if count1[o1] != count2[o2]:
-                    for a1, _ in added:
-                        o = orbit_map.pop(a1)
-                        orbit_map_rev.pop(o)
-                    return []
                 bound = orbit_map.get(o1)
-                if bound is None:
-                    if o2 in orbit_map_rev:
-                        for a1, _ in added:
-                            o = orbit_map.pop(a1)
-                            orbit_map_rev.pop(o)
-                        return []
-                    orbit_map[o1] = o2
-                    orbit_map_rev[o2] = o1
-                    added.append((o1, o2))
-                elif bound != o2:
-                    for a1, _ in added:
-                        o = orbit_map.pop(a1)
-                        orbit_map_rev.pop(o)
-                    return []
-        return added or [(-1, -1)]
-
-    def undo(added: list[tuple[int, int]]) -> None:
-        for o1, _ in added:
-            if o1 == -1:
-                continue
-            o2 = orbit_map.pop(o1)
-            orbit_map_rev.pop(o2)
+                if bound == o2:
+                    continue
+                if bound is not None or o2 in orbit_map_rev or count1[o1] != count2[o2]:
+                    undo(added)
+                    return None
+                orbit_map[o1] = o2
+                orbit_map_rev[o2] = o1
+                added.append(o1)
+        return added
 
     def conjugates_into(mapping: list[int]) -> bool:
         inv = kernels.inverse(tuple(mapping))
@@ -337,7 +320,7 @@ def permutation_isomorphism(
             if used[y]:
                 continue
             added = admissible(x, y)
-            if not added:
+            if added is None:
                 continue
             b[x] = y
             used[y] = True

@@ -94,12 +94,11 @@ class _Chain:
         degree: int,
         gen_images: Sequence[tuple],
         rank: Sequence[int] | None = None,
-        order_cap: int | None = None,
         bound: int | None = None,
     ) -> None:
         self.degree = degree
         self.rank = list(rank) if rank is not None else None
-        self.order_cap = order_cap if order_cap is not None else guards().order
+        self.order_cap = guards().order
         self.bound = bound
         self.complete = False
         self.levels: list[_Level] = []
@@ -770,8 +769,20 @@ class PermGroup:
         )
 
     def core(self, sub: "PermGroup") -> "PermGroup":
-        """Largest subgroup of sub normal in self (coset-action kernel)."""
-        return self.coset_action(sub).kernel
+        """Largest subgroup of sub normal in self, the intersection of its
+        conjugates: C = sub is replaced by C ∩ C^g for each generator g
+        with C^g not inside C, until every generator normalizes C.  Each
+        step keeps every normal subgroup of self that lies in C."""
+        if not sub.is_subgroup_of(self):
+            raise ConstructionError("core requires a subgroup")
+        current, changed = sub, True
+        while changed:
+            changed = False
+            for g in self._gens:
+                conj = current.conjugate(g)
+                if not conj.is_subgroup_of(current):
+                    current, changed = intersection(current, conj), True
+        return current
 
     def _scan_guard(self) -> None:
         limit = guards().elements

@@ -1,9 +1,12 @@
 """Subgroup functors: Sylow subgroups, cores, residuals, and normal lattices.
 
-Everything here is exact and deterministic.  Functions that must scan all
-elements of a group are protected by the ``elements`` guard; the Thompson
-subgroup has its own order guard because its elementary-abelian search is
-exponential in the worst case.
+Everything here is exact and deterministic.  Cores, p-residuals and
+Omega_1 come from intersections, normal closures and `ActionHom` kernels.
+Only `sylow`, the type pass and class walk of `conjugacy_classes` (hence
+`normal_subgroups`) and the Thompson search of a non-abelian group walk
+elements.  The first two are protected by the ``elements`` guard; the
+Thompson subgroup has its own order guard because its elementary-abelian
+search is exponential in the worst case.
 
 Conjugacy classes are certified rather than walked where the group allows
 it: representatives of distinct cycle types are never conjugate, so once
@@ -184,51 +187,48 @@ def o_p(group: PermGroup, p: int) -> PermGroup:
 def o_upper_p(group: PermGroup, p: int) -> PermGroup:
     """Smallest normal subgroup with p-group quotient.
 
-    Generated by the p'-parts of all elements.  That generating set is
-    closed under conjugation, so the span is normal without a further
-    closure pass.
+    The limit of N -> [N,N]N^p from N = G.  Each term is characteristic in
+    the one before, so normal in G, with an elementary abelian p-quotient;
+    the order stops falling at a term with no p-quotient.  Every p'-element
+    of G lies in each term, so the limit is generated by them: O^p(G).
     """
     _require_prime(p)
-    group._scan_guard()
-    parts: list[tuple] = []
-    seen: set[tuple] = set()
-    for g in group.elements():
-        t = p_prime_part(g, p).images
-        if t not in seen:
-            seen.add(t)
-            parts.append(t)
-    return PermGroup.from_images(group.degree, parts)
+    current, step = group, _frattini_step(group, p)
+    while step.order() < current.order():
+        current, step = step, _frattini_step(step, p)
+    return current
 
 
 # -- distinguished subgroups of p-groups ------------------------------------
 
 
+def _omega1_abelian(z: PermGroup, p: int) -> PermGroup:
+    """Omega_1 of an abelian group z: the kernel of the homomorphism z -> z^p."""
+    return ActionHom(z, z.degree, [g**p for g in z.generators]).kernel
+
+
 def omega1_center(x: PermGroup, p: int) -> PermGroup:
     """Subgroup of the center generated by its elements of order p."""
     _require_p_group(x, p, "omega1_center")
-    center = x.center()
-    gens = [z for z in center.elements() if z.order() == p]
-    return PermGroup(gens, degree=x.degree)
+    return _omega1_abelian(x.center(), p)
 
 
 def thompson_subgroup(x: PermGroup, p: int) -> PermGroup:
     """Subgroup generated by all elementary abelian subgroups of largest order.
 
-    For abelian x the unique largest elementary abelian subgroup is the span
-    of all elements of order p, so no search is needed.  Otherwise a
-    breadth-first search enumerates every elementary abelian subgroup as a
-    frozenset of element tuples, extending each by commuting elements of
-    order p; dedup on the element set keeps each subgroup visited once.
+    For abelian x the unique largest elementary abelian subgroup is its
+    Omega_1, so no search is needed.  Otherwise a breadth-first search
+    enumerates every elementary abelian subgroup as a frozenset of element
+    tuples, extending each by commuting elements of order p; dedup on the
+    element set keeps each subgroup visited once.
     """
     _require_p_group(x, p, "thompson_subgroup")
     limit = guards().thompson_order
     if x.order() > limit:
         raise GuardExceededError("thompson_order", limit, x.order())
-    if x.is_trivial():
-        return x
-    order_p = [g for g in x.elements() if g.order() == p]
     if all(a * b == b * a for a in x.generators for b in x.generators):
-        return PermGroup(order_p, degree=x.degree)
+        return _omega1_abelian(x, p)
+    order_p = [g for g in x.elements() if g.order() == p]
     identity = Permutation.identity(x.degree).images
     powers = {
         g.images: [(g**k).images for k in range(p)] for g in order_p
@@ -265,21 +265,23 @@ def thompson_subgroup(x: PermGroup, p: int) -> PermGroup:
 
 
 def frattini_p(x: PermGroup, p: int) -> PermGroup:
-    """Frattini subgroup of a p-group: commutators and p-th powers.
-
-    The quotient by [x,x] is abelian, so the p-th powers of the generators
-    alone complete [x,x] to [x,x]*x^p.
-    """
+    """Frattini subgroup of a p-group: commutators and p-th powers."""
     _require_p_group(x, p, "frattini_p")
+    return _frattini_step(x, p)
+
+
+def _frattini_step(x: PermGroup, p: int) -> PermGroup:
+    """[x,x]x^p, the smallest normal subgroup with elementary abelian
+    p-quotient.  The quotient by [x,x] is abelian, so the p-th powers of
+    the generators alone complete [x,x] to [x,x]*x^p."""
     commutators = [
         a.inverse() * b.inverse() * a * b
         for a in x.generators
         for b in x.generators
     ]
     derived = x.normal_closure(commutators)
-    return PermGroup(
-        derived.generators + tuple(g**p for g in x.generators),
-        degree=x.degree,
+    return x._within(
+        derived.gen_images() + [(g**p).images for g in x.generators]
     )
 
 

@@ -24,6 +24,7 @@ from amalgamlab.group import (
     symmetric_group,
 )
 from amalgamlab.perm import Permutation
+from amalgamlab.structure import p_prime_part
 
 
 # --------------------------------------------------------------------------
@@ -235,6 +236,32 @@ def bfs_normal_subgroups(group: PermGroup) -> list[PermGroup]:
             found, key=lambda s: (found[s].order(), tuple(sorted(s)))
         )
     ]
+
+
+# --------------------------------------------------------------------------
+# p-functors by element scan
+# --------------------------------------------------------------------------
+# The library builds O^p from normal closures and Omega_1 from the kernel of
+# z -> z^p.  These scans generate the same subgroups from their definitions.
+
+
+def scan_o_upper_p(group: PermGroup, p: int) -> PermGroup:
+    """O^p(G), generated by the p'-parts of all elements.  That generating
+    set is closed under conjugation, so its span is normal."""
+    parts: list[tuple] = []
+    seen: set[tuple] = set()
+    for g in group.elements():
+        t = p_prime_part(g, p).images
+        if t not in seen:
+            seen.add(t)
+            parts.append(t)
+    return PermGroup.from_images(group.degree, parts)
+
+
+def scan_omega1_center(x: PermGroup, p: int) -> PermGroup:
+    """Subgroup of the center generated by its elements of order p."""
+    gens = [z for z in x.center().elements() if z.order() == p]
+    return PermGroup(gens, degree=x.degree)
 
 
 # --------------------------------------------------------------------------

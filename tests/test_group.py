@@ -4,7 +4,11 @@ import random
 
 import pytest
 
-from amalgamlab.errors import DegreeMismatchError, GuardExceededError
+from amalgamlab.errors import (
+    ConstructionError,
+    DegreeMismatchError,
+    GuardExceededError,
+)
 from amalgamlab.group import (
     ActionHom,
     PermGroup,
@@ -190,6 +194,12 @@ def test_coset_action_kernel_is_core():
         # The trivial coset is labeled 0, so h maps into the stabilizer of 0.
         for u in h.generators:
             assert hom.apply(u)[0] == 0
+
+
+def test_core_of_a_non_subgroup_is_refused():
+    g = cyclic_group(4)
+    with pytest.raises(ConstructionError, match="core requires a subgroup"):
+        g.core(generate_group([Permutation((1, 0, 2, 3))]))
 
 
 def test_coset_rep_labels_cover_group():

@@ -35,6 +35,7 @@ from amalgamlab.structure import (
 )
 
 from conftest import (
+    assert_same_group,
     bfs_normal_subgroups,
     compose_images,
     conjugate_images,
@@ -43,7 +44,10 @@ from conftest import (
     prime_divisors,
     random_group,
     random_perm,
+    random_subgroup,
     scan_conjugacy_classes,
+    scan_o_upper_p,
+    scan_omega1_center,
 )
 
 
@@ -448,6 +452,7 @@ def test_o_upper_p_is_smallest_with_p_power_index():
         g = random_group(rng, max_order=240)
         for p in prime_divisors(g.order()):
             residual = o_upper_p(g, p)
+            assert_same_group(residual, scan_o_upper_p(g, p))
             assert residual.is_normal_in(g)
             index = g.order() // residual.order()
             assert p_valuation(index, p)[1] == 1  # index is a power of p
@@ -467,6 +472,55 @@ def test_omega1_center_knowns():
     assert omega1_center(v4, 2).order() == 4
     c9 = cyclic_group(9)
     assert omega1_center(c9, 3).order() == 3
+
+
+def test_omega1_center_matches_scan():
+    """On seeded Sylow subgroups, and on their centers, which are abelian
+    and so take Thompson's abelian branch: Omega_1 of the center."""
+    rng = random.Random(107)
+    for _ in range(12):
+        g = random_group(rng, max_order=400)
+        for p in prime_divisors(g.order()):
+            x = sylow(g, p)
+            assert_same_group(omega1_center(x, p), scan_omega1_center(x, p))
+            z = x.center()
+            assert_same_group(thompson_subgroup(z, p), scan_omega1_center(z, p))
+
+
+def test_cores_and_p_functors_scan_no_elements(monkeypatch):
+    """`core`, `o_upper_p`, `omega1_center` and the abelian Thompson
+    subgroup come from intersections, normal closures and kernels: no
+    element walk and no coset action."""
+    rng = random.Random(109)
+    cases = []
+    for _ in range(10):
+        g = random_group(rng, max_order=400)
+        h = random_subgroup(rng, g)
+        p = rng.choice(prime_divisors(g.order()))
+        x = sylow(g, p)
+        z = x.center()
+        expected = (
+            g.coset_action(h).kernel,
+            scan_o_upper_p(g, p),
+            scan_omega1_center(x, p),
+            scan_omega1_center(z, p),
+        )
+        cases.append((g, h, p, x, z, expected))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("element scan or coset action")
+
+    monkeypatch.setattr(_Chain, "iter_elements", refuse)
+    monkeypatch.setattr(PermGroup, "coset_action", refuse)
+    for g, h, p, x, z, expected in cases:
+        found = (
+            g.core(h),
+            o_upper_p(g, p),
+            omega1_center(x, p),
+            thompson_subgroup(z, p),
+        )
+        for a, b in zip(found, expected):
+            assert_same_group(a, b)
 
 
 def oracle_elementary_abelian_maxima(x, p):

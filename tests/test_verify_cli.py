@@ -16,7 +16,7 @@ from amalgamlab.amalgams import amalgam_from_pair, inflate_amalgam
 from amalgamlab.cli import cli_dispatch
 from amalgamlab.errors import WitnessError
 from amalgamlab.graphs import catalog_graph, coset_graph, format_graph, pair_instance
-from amalgamlab.group import generate_group, symmetric_group, trivial_group
+from amalgamlab.group import PermGroup, generate_group, symmetric_group, trivial_group
 from amalgamlab.pairs import build_ordered_pairs
 from amalgamlab.perm import format_group_file, parse_permutation
 from amalgamlab.structure import o_p
@@ -318,6 +318,23 @@ def test_cli_lemma_range_emits_one_report_per_n(capsys):
     reports = json_lines(out)
     assert [r["inputs"]["n"] for r in reports] == [4, 5, 6]
     assert all(r["overall"] == "pass" for r in reports)
+
+
+def test_cli_lemma_runs_past_n_9_with_the_element_guard_raised(capsys, monkeypatch):
+    """With the element guard raised, n = 10 finishes in well under a
+    second: its p-cores are intersections of conjugates, not kernels of
+    coset actions on thousands of cosets, which are refused here."""
+
+    def refuse(*args):
+        raise AssertionError("coset action")
+
+    monkeypatch.setattr(PermGroup, "coset_action", refuse)
+    monkeypatch.setenv("AMALGAMLAB_GUARD_ELEMENTS", str(10**13))
+    code, out, err = run_cli(capsys, "lemma", "verify", "--n", "10", "--json")
+    assert (code, err) == (0, "")
+    (report,) = json_lines(out)
+    assert report["overall"] == "pass"
+    assert report["checks"][-1]["name"] == "furthermore-vacuous"
 
 
 def test_cli_json_schema_is_bit_exact(capsys):
