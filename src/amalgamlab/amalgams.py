@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from . import kernels
 from .errors import AmalgamError, ConstructionError
 from .graphs import PairInstance
-from .group import PermGroup, intersection
+from .group import PermGroup, _element_ticks, intersection
 from .perm import Permutation
 from .report import Report
 
@@ -75,7 +75,7 @@ class GroupIso:
             self._build_table()
 
     def _build_table(self) -> None:
-        self.source._scan_guard()
+        ticks = _element_ticks()
         degree_s, degree_t = self.source.degree, self.target.degree
         ident = (
             tuple(range(degree_s)),
@@ -89,6 +89,7 @@ class GroupIso:
         ]
         while queue:
             s, t = queue.pop()
+            next(ticks)
             for gs, gt in pairs:
                 ns, nt = kernels.compose(s, gs), kernels.compose(t, gt)
                 known = table.get(ns)

@@ -1,13 +1,13 @@
 """Hard limits for searches and enumerations.
 
-Every potentially explosive routine checks one of these guards up front and
-raises GuardExceededError when the input is too large.  The two guards that
-practical use actually bumps into (full element scans and coset-action
-degree) can be set per process through environment variables, each to a
-positive integer:
+Potentially explosive routines raise GuardExceededError past one of these
+guards.  ``elements`` bounds what one walk does, not a group order: the
+elements it yields, or the nodes a backtrack forms; the others bound input
+sizes.  The two guards that practical use bumps into can be set per process
+through environment variables, each to a positive integer:
 
-    AMALGAMLAB_GUARD_ELEMENTS   element-scan cap                    (default 200000)
-    AMALGAMLAB_GUARD_DEGREE     coset-action and group-file degree  (default 100000)
+    AMALGAMLAB_GUARD_ELEMENTS   elements per walk, nodes per backtrack  (default 200000)
+    AMALGAMLAB_GUARD_DEGREE     coset-action and group-file degree      (default 100000)
 """
 import os
 from dataclasses import dataclass

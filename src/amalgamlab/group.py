@@ -57,6 +57,13 @@ class _Level:
         self.inverse: dict[int, tuple] = {}
 
 
+def _element_ticks() -> Iterator[int]:
+    """Ticks of the ``elements`` guard: the one past the limit raises it."""
+    limit = guards().elements
+    yield from range(limit)
+    raise GuardExceededError("elements", limit, f"more than {limit}")
+
+
 class _Chain:
     """Stabilizer chain over image tuples (deterministic Schreier-Sims).
 
@@ -292,6 +299,7 @@ class _Chain:
         the image of each element instead, in the same order: it maps the
         coset representatives once and composes their images.
         """
+        ticks = _element_ticks()
         levels = [
             [lvl.transversal[point] for point in sorted(lvl.orbit)]
             for lvl in self.levels
@@ -303,6 +311,7 @@ class _Chain:
 
         def rec(i: int, partial: tuple) -> Iterator[tuple]:
             if i == len(levels):
+                next(ticks)
                 yield partial
                 return
             for u in levels[i]:
@@ -398,11 +407,9 @@ class PermGroup:
         return len(img) == self._degree and self.chain().contains(img)
 
     def elements(self) -> Iterator[Permutation]:
-        self._scan_guard()
         return (Permutation._raw(img) for img in self.chain().iter_elements())
 
     def element_images(self) -> Iterator[tuple]:
-        self._scan_guard()
         return self.chain().iter_elements()
 
     def base(self) -> list[int]:
@@ -579,6 +586,7 @@ class PermGroup:
         leaves such a node after its first hit; the kept generators do not
         change.
         """
+        ticks = _element_ticks()
         chain = self.chain()
         levels = chain.levels
         fixed_at: list[set[int]] = []
@@ -596,6 +604,7 @@ class PermGroup:
                 return
             lvl = levels[i]
             for point in sorted(lvl.orbit):
+                next(ticks)
                 u = lvl.transversal[point]
                 nxt = kernels.compose(u, partial)
                 if not prune(nxt, fixed_at[i + 1]):
@@ -715,7 +724,6 @@ class PermGroup:
                 raise DegreeMismatchError(
                     f"degree {len(t)} vs degree {self._degree}"
                 )
-        self._scan_guard()
 
         def commutes(img: tuple, fixed: set[int]) -> bool:
             return all(
@@ -744,7 +752,6 @@ class PermGroup:
             raise DegreeMismatchError(
                 f"degree {other._degree} vs degree {self._degree}"
             )
-        self._scan_guard()
         targets = other.gen_images()
         label = [0] * self._degree
         sizes = []
@@ -783,11 +790,6 @@ class PermGroup:
                 if not conj.is_subgroup_of(current):
                     current, changed = intersection(current, conj), True
         return current
-
-    def _scan_guard(self) -> None:
-        limit = guards().elements
-        if self.order() > limit:
-            raise GuardExceededError("elements", limit, self.order())
 
     # -- coset action -----------------------------------------------------
 

@@ -166,7 +166,6 @@ def parse_permutation(text: str, degree: int | None = None) -> Permutation:
     if not text:
         raise FormatError("empty permutation text")
     if text.startswith("("):
-        body = text.replace(" ", "", 0)
         stripped = _CYCLE_RE.sub("", text).strip()
         if stripped:
             raise FormatError(f"stray text {stripped!r} in cycle notation")

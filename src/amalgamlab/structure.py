@@ -4,9 +4,8 @@ Everything here is exact and deterministic.  Cores, p-residuals and
 Omega_1 come from intersections, normal closures and `ActionHom` kernels.
 Only `sylow`, the type pass and class walk of `conjugacy_classes` (hence
 `normal_subgroups`) and the Thompson search of a non-abelian group walk
-elements.  The first two are protected by the ``elements`` guard; the
-Thompson subgroup has its own order guard because its elementary-abelian
-search is exponential in the worst case.
+elements, each counted against the ``elements`` guard as it goes; the
+Thompson search also has an order guard, as it is exponential at worst.
 
 Conjugacy classes are certified rather than walked where the group allows
 it: representatives of distinct cycle types are never conjugate, so once
@@ -35,7 +34,7 @@ from typing import Callable, Iterator, Sequence
 from . import kernels
 from .config import guards
 from .errors import GuardExceededError, WitnessError
-from .group import ActionHom, PermGroup, trivial_group
+from .group import ActionHom, PermGroup, _element_ticks, trivial_group
 from .perm import Permutation
 
 __all__ = [
@@ -149,7 +148,6 @@ def sylow(group: PermGroup, p: int) -> PermGroup:
     if a == 0:
         return trivial_group(group.degree)
     target = p**a
-    group._scan_guard()
     seed = None
     for g in group.elements():
         if g.order() % p == 0:
@@ -400,7 +398,6 @@ def conjugacy_classes(
     so the cycle type there is a class invariant as well, and the
     argument above holds unchanged: the representatives are the same.
     """
-    group._scan_guard()
     image = _image if _image is not None else _Image.itself(group)
     order = group.order()
     target = image.group
@@ -423,7 +420,7 @@ def conjugacy_classes(
                 break
             continue
         type_index[ct] = len(classes)
-        size = _close_class(t, gens, key, set(), limit)
+        size = _close_class(t, gens, key, set(), iter(range(limit - 1)))
         if size is None:
             size = order // target.centralizer(Permutation._raw(t)).order()
         classes.append(ConjugacyClass(Permutation._raw(image.preimage(t)), size))
@@ -451,14 +448,15 @@ def _class_walk(
     new one, and the walk stops once the classes cover the group.
     """
     order = group.order()
+    ticks = _element_ticks()
     visited: set = set()
     for c in classes:
-        _close_class(image.project(c.representative.images), gens, key, visited)
+        _close_class(image.project(c.representative.images), gens, key, visited, ticks)
     found = list(zip(positions, classes))
     for pos, t in enumerate(image.walk()):
         if key(t) in visited:
             continue
-        size = _close_class(t, gens, key, visited)
+        size = _close_class(t, gens, key, visited, ticks)
         rep = Permutation._raw(image.preimage(t))
         found.append((pos, ConjugacyClass(rep, size)))
         if len(visited) == order:
@@ -472,10 +470,10 @@ def _close_class(
     gens: list[tuple[tuple, tuple]],
     key: Callable[[tuple], object],
     visited: set,
-    limit: int | None = None,
+    budget: Iterator[int],
 ) -> int | None:
     """Size of the class of t, closed under conjugation by the (inverse,
-    generator) pairs; None once it exceeds `limit` elements.
+    generator) pairs; None once `budget`, a tick per new element, runs out.
 
     Its elements are added to `visited` by their `key`, their images of
     the chain's base points.  Only the identity fixes a base pointwise, so
@@ -490,7 +488,7 @@ def _close_class(
             c = kernels.compose(kernels.compose(inv, s), gen)
             k = key(c)
             if k not in visited:
-                if len(orbit) == limit:
+                if next(budget, None) is None:
                     return None
                 visited.add(k)
                 orbit.append(c)

@@ -14,7 +14,7 @@ from amalgamlab.amalgams import (
     inflate_amalgam,
     verify_inflation,
 )
-from amalgamlab.errors import AmalgamError, ConstructionError
+from amalgamlab.errors import AmalgamError, ConstructionError, GuardExceededError
 from amalgamlab.graphs import (
     ball_stabilizer,
     ball_stabilizer_pair,
@@ -79,6 +79,20 @@ def test_group_iso_rejects_non_bijection():
     c2 = generate_group([perm("(0 1)", 4)])
     with pytest.raises(AmalgamError):
         GroupIso(c4, c2, (c2.generators[0],))
+
+
+def test_group_iso_table_counts_against_the_element_guard(monkeypatch):
+    """The table is a walk over the source: Sym(5) relabelled fits a limit
+    of 120 entries and not one of 119."""
+    s5 = symmetric_group(5)
+    b = perm("(0 4)")
+    images = tuple(b.inverse() * g * b for g in s5.generators)
+    other = generate_group(images)
+    monkeypatch.setenv("AMALGAMLAB_GUARD_ELEMENTS", "120")
+    assert GroupIso(s5, other, images).apply(b).images == b.images
+    monkeypatch.setenv("AMALGAMLAB_GUARD_ELEMENTS", "119")
+    with pytest.raises(GuardExceededError):
+        GroupIso(s5, other, images)
 
 
 def test_group_iso_rejects_wrong_image_count():

@@ -1,6 +1,7 @@
 """Stabilizer-chain group arithmetic against brute-force closure oracles."""
 
 import random
+from itertools import islice
 
 import pytest
 
@@ -588,10 +589,48 @@ def test_order_guard_trips_on_huge_groups():
 
 
 def test_element_guard_trips_on_scan(monkeypatch):
+    """The walk raises while it runs, at its first element past the limit;
+    a walk of exactly the limit finishes."""
     g = symmetric_group(5)
     monkeypatch.setenv("AMALGAMLAB_GUARD_ELEMENTS", "10")
+    walk = g.elements()
+    assert len(list(islice(walk, 10))) == 10
+    with pytest.raises(GuardExceededError) as info:
+        next(walk)
+    assert (info.value.guard, info.value.limit, info.value.needed) == (
+        "elements", 10, "more than 10"
+    )
+    monkeypatch.setenv("AMALGAMLAB_GUARD_ELEMENTS", "120")
+    assert len(list(g.elements())) == 120
+    monkeypatch.setenv("AMALGAMLAB_GUARD_ELEMENTS", "119")
     with pytest.raises(GuardExceededError):
-        g.elements()
+        list(g.elements())
+
+
+def test_element_guard_counts_work_not_group_order(monkeypatch):
+    """Sym(7), of order 5040, under a limit of 1000: a walk that stops
+    after 100 elements and the centralizer backtrack of a 7-cycle (63
+    search nodes) finish, with the results computed at the default guard."""
+    t = Permutation.from_cycles(7, [tuple(range(7))])
+    head = list(islice(symmetric_group(7).element_images(), 100))
+    oracle = scan_centralizer(symmetric_group(7), [t.images])
+    monkeypatch.setenv("AMALGAMLAB_GUARD_ELEMENTS", "1000")
+    g = symmetric_group(7)
+    assert g.order() > 1000
+    assert list(islice(g.element_images(), 100)) == head
+    assert g.centralizer(t).gen_images() == oracle.gen_images()
+
+
+def test_element_guard_trips_in_a_backtrack(monkeypatch):
+    """The normalizer of a 7-cycle in Sym(7) forms 2077 search nodes and
+    walks no elements; under a limit of 1000 the backtrack raises."""
+    c7 = PermGroup([Permutation.from_cycles(7, [tuple(range(7))])])
+    g = symmetric_group(7)
+    assert g.normalizer(c7).order() == 42
+    monkeypatch.setenv("AMALGAMLAB_GUARD_ELEMENTS", "1000")
+    with pytest.raises(GuardExceededError) as info:
+        symmetric_group(7).normalizer(c7)
+    assert info.value.needed == "more than 1000"
 
 
 def test_degree_mismatch_between_groups():

@@ -6,12 +6,14 @@ from itertools import combinations
 import pytest
 
 from amalgamlab import structure
+from amalgamlab.errors import GuardExceededError
 from amalgamlab.group import (
     PermGroup,
     _Chain,
     alternating_group,
     cyclic_group,
     dihedral_group,
+    direct_sum_gens,
     generate_group,
     symmetric_group,
     trivial_group,
@@ -318,6 +320,24 @@ def test_class_walk_stops_at_the_group_order(monkeypatch):
     assert sum(c.size for c in classes) == group.order() == 5040
     assert len(classes) == 15  # the partitions of 7
     assert len(yielded) < group.order()
+
+
+def test_class_walk_closures_count_against_the_element_guard(monkeypatch):
+    """Sym(6) x Alt(5): the type pass stops at the split 5-cycles of
+    Alt(5), and the class walk closes all 43,200 elements while its chain
+    walks fewer than 10,000.  The closures count, so a limit of |G| is
+    enough and one of 20,000 is not."""
+    gens = direct_sum_gens(
+        6, 5, symmetric_group(6).generators, alternating_group(5).generators
+    )
+    walked = _record_class_walks(monkeypatch)
+    monkeypatch.setenv("AMALGAMLAB_GUARD_ELEMENTS", "43200")
+    group = PermGroup(gens, degree=11)
+    assert sum(c.size for c in conjugacy_classes(group)) == group.order() == 43200
+    assert walked == [group]
+    monkeypatch.setenv("AMALGAMLAB_GUARD_ELEMENTS", "20000")
+    with pytest.raises(GuardExceededError):
+        conjugacy_classes(PermGroup(gens, degree=11))
 
 
 def test_class_walk_keeps_base_images_only():

@@ -320,21 +320,41 @@ def test_cli_lemma_range_emits_one_report_per_n(capsys):
     assert all(r["overall"] == "pass" for r in reports)
 
 
-def test_cli_lemma_runs_past_n_9_with_the_element_guard_raised(capsys, monkeypatch):
-    """With the element guard raised, n = 10 finishes in well under a
-    second: its p-cores are intersections of conjugates, not kernels of
-    coset actions on thousands of cosets, which are refused here."""
+def test_cli_lemma_runs_past_n_9_at_the_default_guards(capsys, monkeypatch):
+    """At the default guards, n = 10 finishes in well under a second: its
+    p-cores are intersections of conjugates, not kernels of coset actions
+    on thousands of cosets, which are refused here, and the element guard
+    counts walks and search nodes, not the order 10!."""
 
     def refuse(*args):
         raise AssertionError("coset action")
 
     monkeypatch.setattr(PermGroup, "coset_action", refuse)
-    monkeypatch.setenv("AMALGAMLAB_GUARD_ELEMENTS", str(10**13))
     code, out, err = run_cli(capsys, "lemma", "verify", "--n", "10", "--json")
     assert (code, err) == (0, "")
     (report,) = json_lines(out)
     assert report["overall"] == "pass"
     assert report["checks"][-1]["name"] == "furthermore-vacuous"
+
+
+def test_cli_lemma_to_n_12_and_pairs_9_at_the_default_guards(capsys):
+    """Sym(n) for n = 9..12 has order above the default element guard, but
+    no walk or search of the lemma counts more than a thousand, and the
+    longest walk of `action classify --pairs 9` about 50,000."""
+    code, out, err = run_cli(capsys, "lemma", "verify", "--n", "4..12", "--json")
+    assert (code, err) == (0, "")
+    reports = json_lines(out)
+    assert [r["inputs"]["n"] for r in reports] == list(range(4, 13))
+    assert all(r["overall"] == "pass" for r in reports)
+    assert all(
+        r["checks"][-1]["name"] == "furthermore-vacuous"
+        for r in reports
+        if r["inputs"]["n"] >= 9
+    )
+    code, out, err = run_cli(capsys, "action", "classify", "--pairs", "9", "--json")
+    assert (code, err) == (0, "")
+    (report,) = json_lines(out)
+    assert report["overall"] == "pass"
 
 
 def test_cli_json_schema_is_bit_exact(capsys):
@@ -520,15 +540,16 @@ def test_cli_bad_guard_is_exit_2(capsys, monkeypatch, name, value):
 
 
 def test_cli_huge_n_range_stops_at_the_guard(capsys):
-    """The range is never materialised: it stops at n = 9, where the
-    element guard trips as it does for `--n 4..9`."""
+    """The range is never materialised: n = 9..12 pass, and n = 13 stops
+    where the element guard trips, in the seed walk of `sylow`."""
     code, out, err = run_cli(
         capsys, "lemma", "verify", "--n", "9..100000000000000000000", "--json"
     )
     assert code == 2
     assert out == ""
     assert err.splitlines() == [
-        "error: guard 'elements' exceeded: limit 200000, computation needs 362880"
+        "error: guard 'elements' exceeded: limit 200000, "
+        "computation needs more than 200000"
     ]
 
 
