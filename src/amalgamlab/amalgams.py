@@ -193,6 +193,15 @@ def amalgam_from_pair(inst: PairInstance, x: int, y: int) -> Amalgam:
     return identity_amalgam(vertex, edge, both)
 
 
+def _core_step(am: Amalgam, current: PermGroup) -> tuple[PermGroup, PermGroup]:
+    """The largest subgroup of ``current`` normal in A, and the largest
+    subgroup of that one normal, across phi, in B."""
+    vertex_core = am.a.core(current)
+    return vertex_core, am.phi.invert_subgroup(
+        am.b.core(am.phi.map_subgroup(vertex_core))
+    )
+
+
 def faithful_kernel(am: Amalgam) -> PermGroup:
     """Largest subgroup of C normal in A and, across phi, normal in B.
 
@@ -203,10 +212,7 @@ def faithful_kernel(am: Amalgam) -> PermGroup:
     current = am.c_in_a
     while True:
         before = current.order()
-        current = am.a.core(current)
-        current = am.phi.invert_subgroup(
-            am.b.core(am.phi.map_subgroup(current))
-        )
+        _, current = _core_step(am, current)
         if current.order() == before:
             return current
 
@@ -230,10 +236,7 @@ def core_sequence(
     edge_cores: list[PermGroup] = []
     current = am.c_in_a
     for _ in range(depth):
-        vertex_core = am.a.core(current)
-        current = am.phi.invert_subgroup(
-            am.b.core(am.phi.map_subgroup(vertex_core))
-        )
+        vertex_core, current = _core_step(am, current)
         vertex_cores.append(vertex_core)
         edge_cores.append(current)
     return vertex_cores, edge_cores
@@ -257,10 +260,6 @@ class InflationCertificate:
     omega: int                           # least point of that block
     amalgam: Amalgam                     # output (G_x, G_e, G_xy)
     embedded_seed: PermGroup             # S acting on the product domain
-
-    @property
-    def product_degree(self) -> int:
-        return self.amalgam.a.degree
 
 
 def _embed_left(g: Permutation, right_degree: int) -> Permutation:

@@ -96,10 +96,7 @@ def _instance_edge(
 ) -> tuple[int, int]:
     """The given edge, checked against the graph, or its first edge."""
     if edge is None:
-        edges = inst.graph.edges()
-        if not edges:
-            raise GraphError("the graph has no edge")
-        return edges[0]
+        return inst.graph.first_edge()
     x, y = edge
     if not inst.graph.has_edge(x, y):
         raise GraphError(f"{{{x},{y}}} is not an edge")
@@ -115,7 +112,7 @@ def _section4_pipeline(h_source: str):
     base = build_ordered_pairs(4).group
     seed = classify_action(base).witnesses["quasiprimitive"]
     inst = _load_instance(h_source)
-    h_amalgam = amalgam_from_pair(inst, *_instance_edge(inst, None))
+    h_amalgam = amalgam_from_pair(inst, *inst.graph.first_edge())
     return inflate_amalgam(base, seed, h_amalgam)
 
 
@@ -431,21 +428,17 @@ def _cmd_construct_section4(args: argparse.Namespace) -> list[Report]:
 
 
 def _cmd_verify_theorem(args: argparse.Namespace) -> list[Report]:
-    from .graphs import PairInstance
     from .verify import verify_theorem
 
     instance = _theorem_instance(args)
-    edge = _parse_edge(args.edge) if isinstance(instance, PairInstance) else None
-    return [verify_theorem(instance, args.n, edge=edge)]
+    return [verify_theorem(instance, args.n, edge=_parse_edge(args.edge))]
 
 
 def _cmd_trace_claims(args: argparse.Namespace) -> list[Report]:
-    from .graphs import PairInstance
     from .verify import proof_trace
 
     instance = _theorem_instance(args)
-    edge = _parse_edge(args.edge) if isinstance(instance, PairInstance) else None
-    trace, report = proof_trace(instance, args.n, edge=edge)
+    trace, report = proof_trace(instance, args.n, edge=_parse_edge(args.edge))
     if trace.prime is not None:
         report.inputs["subgroup_orders"] = {
             "s_xy": trace.s_xy.order(),
@@ -463,16 +456,14 @@ def _cmd_trace_claims(args: argparse.Namespace) -> list[Report]:
 
 
 def _cmd_check_hauptlemma(args: argparse.Namespace) -> list[Report]:
-    from .graphs import PairInstance
     from .group import PermGroup
     from .structure import o_p, p_valuation
-    from .verify import edge_context, hauptlemma_check
+    from .verify import edge_context, edge_kernel_prime, hauptlemma_check
 
     instance = _theorem_instance(args)
-    edge = _parse_edge(args.edge) if isinstance(instance, PairInstance) else None
-    ctx = edge_context(instance, depth=1, edge=edge)
+    ctx = edge_context(instance, depth=1, edge=_parse_edge(args.edge))
     if args.k == "trivial":
-        subgroup = PermGroup(degree=ctx.vertex_group.degree)
+        subgroup = PermGroup(degree=ctx.amalgam.a.degree)
     elif args.k == "first-edge-kernel":
         subgroup = ctx.edge_cores[0]
     else:  # sylow-product
@@ -481,12 +472,11 @@ def _cmd_check_hauptlemma(args: argparse.Namespace) -> list[Report]:
             raise AmalgamlabError(
                 "the first edge kernel is trivial; no prime to take a radical for"
             )
-        order = kernel.order()
-        p = min(f for f in range(2, order + 1) if order % f == 0)
-        if p_valuation(order, p)[1] != 1:
+        p = edge_kernel_prime(ctx)
+        if p_valuation(kernel.order(), p)[1] != 1:
             raise AmalgamlabError("the first edge kernel is not a prime power")
-        subgroup = o_p(ctx.shared, p)
-    report = hauptlemma_check(instance, subgroup, edge=edge)
+        subgroup = o_p(ctx.amalgam.c_in_a, p)
+    report = hauptlemma_check(ctx, subgroup)
     report.inputs["k"] = args.k
     return [report]
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from .config import guards
 from .errors import (
@@ -24,9 +23,6 @@ from .errors import (
 )
 from .group import ActionHom, PermGroup
 from .perm import Permutation
-
-if TYPE_CHECKING:
-    from .pairs import OrderedPairsAction
 
 __all__ = [
     "Graph",
@@ -104,6 +100,13 @@ class Graph:
             for v in self.adjacency[u]
             if u < v
         ]
+
+    def first_edge(self) -> tuple[int, int]:
+        """The default edge of every edge-based check: the first of ``edges``."""
+        edges = self.edges()
+        if not edges:
+            raise GraphError("the graph has no edge")
+        return edges[0]
 
     @property
     def edge_count(self) -> int:
@@ -322,14 +325,9 @@ class PairInstance:
     graph: Graph
     group: PermGroup
     vertex_transitive: bool
-    local_action_reference: OrderedPairsAction | None = None
 
 
-def pair_instance(
-    graph: Graph,
-    group: PermGroup,
-    reference: OrderedPairsAction | None = None,
-) -> PairInstance:
+def pair_instance(graph: Graph, group: PermGroup) -> PairInstance:
     if group.degree != graph.vertex_count:
         raise DegreeMismatchError(
             f"group degree {group.degree} vs {graph.vertex_count} vertices"
@@ -343,7 +341,6 @@ def pair_instance(
         graph=graph,
         group=group,
         vertex_transitive=group.is_transitive(),
-        local_action_reference=reference,
     )
 
 

@@ -1004,7 +1004,10 @@ def commutator_subgroup(a: PermGroup, b: PermGroup) -> PermGroup:
 
 
 def derived_subgroup(g: PermGroup) -> PermGroup:
-    return commutator_subgroup(g, g)
+    """[g, g]: the normal closure, in g, of its generators' commutators."""
+    return g.normal_closure(
+        a.inverse() * b.inverse() * a * b for a in g.generators for b in g.generators
+    )
 
 
 # -- standard construction helpers ---------------------------------------

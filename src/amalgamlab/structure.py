@@ -34,7 +34,7 @@ from typing import Callable, Iterator, Sequence
 from . import kernels
 from .config import guards
 from .errors import GuardExceededError, WitnessError
-from .group import ActionHom, PermGroup, _element_ticks, trivial_group
+from .group import ActionHom, PermGroup, _element_ticks, derived_subgroup, trivial_group
 from .perm import Permutation
 
 __all__ = [
@@ -272,14 +272,8 @@ def _frattini_step(x: PermGroup, p: int) -> PermGroup:
     """[x,x]x^p, the smallest normal subgroup with elementary abelian
     p-quotient.  The quotient by [x,x] is abelian, so the p-th powers of
     the generators alone complete [x,x] to [x,x]*x^p."""
-    commutators = [
-        a.inverse() * b.inverse() * a * b
-        for a in x.generators
-        for b in x.generators
-    ]
-    derived = x.normal_closure(commutators)
     return x._within(
-        derived.gen_images() + [(g**p).images for g in x.generators]
+        derived_subgroup(x).gen_images() + [(g**p).images for g in x.generators]
     )
 
 

@@ -15,8 +15,10 @@ stabilizer that is normal in the edge group and whose normalizer in the
 vertex group is transitive on the neighbors must be trivial.
 
 Both a concrete graph-with-group and an abstract vertex-edge amalgam are
-accepted; ``EdgeContext`` reduces the two to a common view (vertex group,
-edge group, shared arc stabilizer, neighbor action, descending cores).
+accepted; ``EdgeContext`` reduces the two to a common view: the edge's
+amalgam (G_x, G_e, G_xy), the neighbor action and the descending cores.  A
+graph's amalgam comes from ``amalgam_from_pair``, so the amalgam module
+alone builds the identification of G_xy across the two sides.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 from . import kernels
 from .actions import induced_action, permutation_isomorphism
-from .amalgams import Amalgam, GroupIso, core_sequence
+from .amalgams import Amalgam, amalgam_from_pair, core_sequence
 from .errors import WitnessError
 from .graphs import (
     PairInstance,
@@ -58,6 +60,7 @@ __all__ = [
     "LocalReference",
     "ProofTrace",
     "edge_context",
+    "edge_kernel_prime",
     "hauptlemma_check",
     "proof_trace",
     "regular_base_instance",
@@ -85,19 +88,17 @@ def theorem_radius(n: int) -> int:
 class EdgeContext:
     """One edge of an instance, reduced to the data the verifiers use.
 
-    ``shared`` is the arc stabilizer inside the vertex group's domain;
-    ``identify`` carries it into the edge group's domain (for a graph both
-    domains coincide and the identification is the identity map).  The
-    cores are the descending pointwise ball stabilizers: ``vertex_cores[i]``
-    fixes the radius-(i+1) ball around the vertex, ``edge_cores[i]`` the
-    union of the balls around both endpoints.
+    ``amalgam`` is the edge's vertex-edge amalgam: ``a`` the vertex group,
+    ``b`` the edge group, ``c_in_a`` the arc stabilizer inside the vertex
+    group's domain and ``phi`` its identification with the copy inside the
+    edge group (for a graph both domains coincide and ``phi`` is the
+    identity map).  The cores are the descending pointwise ball
+    stabilizers: ``vertex_cores[i]`` fixes the radius-(i+1) ball around the
+    vertex, ``edge_cores[i]`` the union of the balls around both endpoints.
     """
 
     route: str
-    vertex_group: PermGroup
-    edge_group: PermGroup
-    shared: PermGroup
-    identify: GroupIso
+    amalgam: Amalgam
     neighbor_hom: ActionHom
     base_neighbor: int
     vertex_cores: tuple[PermGroup, ...]
@@ -113,31 +114,20 @@ class EdgeContext:
 
     def swap_conjugate(self, sub: PermGroup) -> PermGroup:
         """Conjugate a subgroup of the arc stabilizer by an endpoint swap."""
-        swap = next(
-            g
-            for g in self.edge_group.generators
-            if g not in self.identify.target
-        )
-        moved = self.identify.map_subgroup(sub).conjugate(swap)
-        return self.identify.invert_subgroup(moved)
+        phi = self.amalgam.phi
+        swap = next(g for g in self.amalgam.b.generators if g not in phi.target)
+        return phi.invert_subgroup(phi.map_subgroup(sub).conjugate(swap))
 
 
 def _graph_context(inst: PairInstance, x: int, y: int, depth: int) -> EdgeContext:
     if not inst.graph.has_edge(x, y):
         raise WitnessError(f"{{{x},{y}}} is not an edge")
-    vertex = inst.group.stabilizer(x)
-    edge = inst.group.setwise_stabilizer([x, y])
-    shared = inst.group.pointwise_stabilizer([x, y])
-    if shared.order() * 2 != edge.order():
-        raise WitnessError("no group element swaps the edge's endpoints")
+    am = amalgam_from_pair(inst, x, y)
     neighbors = list(inst.graph.neighbors(x))
     return EdgeContext(
         route="graph",
-        vertex_group=vertex,
-        edge_group=edge,
-        shared=shared,
-        identify=GroupIso(shared, shared, shared.generators),
-        neighbor_hom=induced_action(vertex, neighbors),
+        amalgam=am,
+        neighbor_hom=induced_action(am.a, neighbors),
         base_neighbor=neighbors.index(y),
         vertex_cores=tuple(
             ball_stabilizer(inst, x, r) for r in range(1, depth + 1)
@@ -152,10 +142,7 @@ def _amalgam_context(am: Amalgam, depth: int) -> EdgeContext:
     vertex_cores, edge_cores = core_sequence(am, depth)
     return EdgeContext(
         route="amalgam",
-        vertex_group=am.a,
-        edge_group=am.b,
-        shared=am.c_in_a,
-        identify=am.phi,
+        amalgam=am,
         neighbor_hom=am.a.coset_action(am.c_in_a),
         base_neighbor=0,
         vertex_cores=tuple(vertex_cores),
@@ -164,21 +151,29 @@ def _amalgam_context(am: Amalgam, depth: int) -> EdgeContext:
 
 
 def edge_context(
-    instance: PairInstance | Amalgam,
+    instance: PairInstance | Amalgam | EdgeContext,
     depth: int,
     edge: tuple[int, int] | None = None,
 ) -> EdgeContext:
-    """Reduce a graph pair or a vertex-edge amalgam to an edge's data."""
+    """Reduce a graph pair or a vertex-edge amalgam to an edge's data.
+
+    A graph pair takes the given edge or its first one.  An amalgam, and a
+    context already built, fix their own edge; a context is returned as it
+    is when it holds cores to at least ``depth``.
+    """
+    if isinstance(instance, (Amalgam, EdgeContext)) and edge is not None:
+        raise WitnessError("an amalgam fixes its own edge; none may be given")
+    if isinstance(instance, EdgeContext):
+        if len(instance.vertex_cores) < depth:
+            raise WitnessError(
+                f"the edge context holds cores to depth "
+                f"{len(instance.vertex_cores)}, {depth} are needed"
+            )
+        return instance
     if isinstance(instance, Amalgam):
-        if edge is not None:
-            raise WitnessError("an amalgam fixes its own edge; none may be given")
         return _amalgam_context(instance, depth)
     if isinstance(instance, PairInstance):
-        if edge is None:
-            x = 0
-            y = min(instance.graph.neighbors(x))
-        else:
-            x, y = edge
+        x, y = instance.graph.first_edge() if edge is None else edge
         return _graph_context(instance, x, y, depth)
     raise WitnessError(
         f"expected a graph pair or an amalgam, got {type(instance).__name__}"
@@ -236,7 +231,7 @@ def _coordinate_tower_preimages(
             for a in range(n)
         )
         coords.append(Permutation._raw(coord))
-    hom = ActionHom(ctx.vertex_group, n, coords)
+    hom = ActionHom(ctx.amalgam.a, n, coords)
     image = hom.image_group()
     return tuple(
         hom.preimage_subgroup(image.stabilizer(c)) for c in ref.base_pair
@@ -247,7 +242,7 @@ def _coordinate_tower_preimages(
 
 
 def verify_theorem(
-    instance: PairInstance | Amalgam,
+    instance: PairInstance | Amalgam | EdgeContext,
     n: int,
     edge: tuple[int, int] | None = None,
 ) -> Report:
@@ -260,8 +255,8 @@ def verify_theorem(
             "n": n,
             "radius": radius,
             "route": ctx.route,
-            "vertex_order": ctx.vertex_group.order(),
-            "edge_order": ctx.edge_group.order(),
+            "vertex_order": ctx.amalgam.a.order(),
+            "edge_order": ctx.amalgam.b.order(),
             "valency": ctx.valency,
         },
     )
@@ -292,7 +287,7 @@ def verify_theorem(
         {"witness": list(ref.witness)},
     )
     core_orders = [g.order() for g in ctx.vertex_cores]
-    previous = ctx.vertex_group if radius == 1 else ctx.vertex_cores[radius - 2]
+    previous = ctx.amalgam.a if radius == 1 else ctx.vertex_cores[radius - 2]
     report.require(
         "stabilizer-triviality",
         ctx.vertex_cores[radius - 1].is_trivial(),
@@ -385,8 +380,14 @@ def _characteristic_family(s: PermGroup, p: int) -> list[tuple[str, PermGroup]]:
     ]
 
 
+def edge_kernel_prime(ctx: EdgeContext) -> int:
+    """The least prime dividing the order of a nontrivial first edge kernel."""
+    order = ctx.edge_cores[0].order()
+    return next(f for f in range(2, order + 1) if order % f == 0)
+
+
 def proof_trace(
-    instance: PairInstance | Amalgam,
+    instance: PairInstance | Amalgam | EdgeContext,
     n: int,
     edge: tuple[int, int] | None = None,
 ) -> tuple[ProofTrace, Report]:
@@ -399,8 +400,8 @@ def proof_trace(
         {
             "n": n,
             "route": ctx.route,
-            "vertex_order": ctx.vertex_group.order(),
-            "edge_order": ctx.edge_group.order(),
+            "vertex_order": ctx.amalgam.a.order(),
+            "edge_order": ctx.amalgam.b.order(),
             "first_edge_kernel_order": ctx.edge_cores[0].order(),
         },
     )
@@ -432,7 +433,7 @@ def proof_trace(
         return _empty_trace(report), report
 
     order = first_kernel.order()
-    p = min(f for f in range(2, order + 1) if order % f == 0)
+    p = edge_kernel_prime(ctx)
     exponent, residue = p_valuation(order, p)
     report.require(
         "edge-kernel-prime",
@@ -457,7 +458,7 @@ def proof_trace(
         {"n": n, "prime": p, "table": sorted(PRIME_TABLE)},
     )
 
-    s_xy = o_p(ctx.shared, p)
+    s_xy = o_p(ctx.amalgam.c_in_a, p)
     z_xy = omega1_center(s_xy, p)
     q_x = o_p(ctx.vertex_cores[0], p)
     z_x = omega1_center(q_x, p)
@@ -465,7 +466,7 @@ def proof_trace(
     z_y = ctx.swap_conjugate(z_x)
 
     for label, sub in (("radical", q_x), ("socle", z_x)):
-        centralizer = ctx.vertex_group.centralizer(sub)
+        centralizer = ctx.amalgam.a.centralizer(sub)
         induced = ctx.neighbor_image(centralizer)
         report.require(
             f"claim1-centralizer-of-{label}",
@@ -604,7 +605,7 @@ def proof_trace(
 
 
 def hauptlemma_check(
-    instance: PairInstance | Amalgam,
+    instance: PairInstance | Amalgam | EdgeContext,
     k: PermGroup,
     edge: tuple[int, int] | None = None,
 ) -> Report:
@@ -616,18 +617,19 @@ def hauptlemma_check(
     fails, naming the failed ones.
     """
     ctx = edge_context(instance, depth=1, edge=edge)
-    if not k.is_subgroup_of(ctx.shared):
+    am = ctx.amalgam
+    if not k.is_subgroup_of(am.c_in_a):
         raise WitnessError("K must lie inside the arc stabilizer")
     report = Report(
         "check hauptlemma",
         {
             "route": ctx.route,
             "k_order": k.order(),
-            "vertex_order": ctx.vertex_group.order(),
+            "vertex_order": am.a.order(),
         },
     )
-    normal_in_edge = ctx.identify.map_subgroup(k).is_normal_in(ctx.edge_group)
-    normalizer = ctx.vertex_group.normalizer(k)
+    normal_in_edge = am.phi.map_subgroup(k).is_normal_in(am.b)
+    normalizer = am.a.normalizer(k)
     transitive = ctx.neighbor_image(normalizer).is_transitive()
     details = {
         "k_order": k.order(),

@@ -411,6 +411,19 @@ def test_join_and_conjugate():
         )
 
 
+def test_derived_subgroup_keeps_the_commutator_generators():
+    """derived_subgroup closes in g itself what commutator_subgroup closes
+    in g.join(g): the same seeds and conjugators give the same generators,
+    whether or not g's chain is built."""
+    rng = random.Random(80)
+    for _ in range(16):
+        g = random_group(rng)
+        expected = commutator_subgroup(g, g).gen_images()
+        assert derived_subgroup(g).gen_images() == expected
+        g.order()
+        assert derived_subgroup(g).gen_images() == expected
+
+
 def test_commutator_subgroup_and_derived():
     s4 = symmetric_group(4)
     assert derived_subgroup(s4).order() == 12

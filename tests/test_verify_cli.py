@@ -72,9 +72,9 @@ def test_edge_context_graph_and_amalgam_routes_agree():
     via_graph = edge_context(inst, 3, edge=(0, y))
     am = amalgam_from_pair(inst, 0, y)
     via_amalgam = edge_context(am, 3)
-    assert via_graph.vertex_group.order() == via_amalgam.vertex_group.order()
-    assert via_graph.edge_group.order() == via_amalgam.edge_group.order()
-    assert via_graph.shared.order() == via_amalgam.shared.order()
+    assert via_graph.amalgam.a.order() == via_amalgam.amalgam.a.order()
+    assert via_graph.amalgam.b.order() == via_amalgam.amalgam.b.order()
+    assert via_graph.amalgam.c_in_a.order() == via_amalgam.amalgam.c_in_a.order()
     assert via_graph.valency == via_amalgam.valency
     assert [g.order() for g in via_graph.vertex_cores] == [
         g.order() for g in via_amalgam.vertex_cores
@@ -96,6 +96,16 @@ def test_edge_context_rejects_bad_inputs():
     am = section4_amalgam("k4")
     with pytest.raises(WitnessError):
         edge_context(am, 2, edge=(0, 1))  # amalgams carry their own edge
+
+
+def test_edge_context_passes_a_built_context_through():
+    ctx = edge_context(section4_amalgam("k4"), 2)
+    assert edge_context(ctx, 2) is ctx
+    assert edge_context(ctx, 1) is ctx
+    with pytest.raises(WitnessError):
+        edge_context(ctx, 3)  # holds cores to depth 2 only
+    with pytest.raises(WitnessError):
+        edge_context(ctx, 1, edge=(0, 1))  # its amalgam fixes the edge
 
 
 def test_certify_local_positive_and_negative():
@@ -233,7 +243,7 @@ def test_hauptlemma_nontrivial_kernels_are_vacuous():
     ctx = edge_context(tc, 3)
     for k, k_order, norm_order in [
         (ctx.edge_cores[0], 4, 64),
-        (o_p(ctx.shared, 2), 16, 32),
+        (o_p(ctx.amalgam.c_in_a, 2), 16, 32),
     ]:
         report = hauptlemma_check(tc, k)
         check = report.checks[0]
@@ -468,6 +478,9 @@ def test_cli_huge_file_header_is_exit_2(capsys, tmp_path, argv, text, message):
         ("amalgam", "cores", "{path}", "--depth", "1"),
         ("graph", "coset", "{path}"),
         ("construct", "section4", "--h", "{path}"),
+        ("verify", "theorem", "--n", "3", "--graph", "{path}", "--group", "{group}"),
+        ("trace", "claims", "--n", "4", "--graph", "{path}", "--group", "{group}"),
+        ("check", "hauptlemma", "--n", "3", "--graph", "{path}", "--group", "{group}"),
     ],
 )
 def test_cli_graph_without_edges_is_exit_2(capsys, tmp_path, command):
@@ -475,7 +488,9 @@ def test_cli_graph_without_edges_is_exit_2(capsys, tmp_path, command):
     that has none."""
     path = tmp_path / "one.txt"
     path.write_text("1 0\n")
-    argv = [arg.format(path=path) for arg in command]
+    group = tmp_path / "one.group"
+    group.write_text("degree 1\n")
+    argv = [arg.format(path=path, group=group) for arg in command]
     code, out, err = run_cli(capsys, *argv, "--json")
     assert code == 2
     assert out == ""
@@ -504,6 +519,18 @@ def test_cli_graph_without_edges_is_exit_2(capsys, tmp_path, command):
             ("amalgam", "cores"),
         )
         for edge in ("0,7", "0,0", "99,0")
+    ]
+    + [
+        ((*command, "--n", "4", "--construct", "k4", "--edge", edge), message)
+        for command in (
+            ("verify", "theorem"),
+            ("trace", "claims"),
+            ("check", "hauptlemma"),
+        )
+        for edge, message in (
+            ("foo", "--edge must be x,y with integer x and y, got 'foo'"),
+            ("0,1", "an amalgam fixes its own edge; none may be given"),
+        )
     ],
 )
 def test_cli_bad_edge_is_exit_2(capsys, argv, message):
@@ -697,12 +724,25 @@ def test_cli_trace_claims(capsys):
     assert all(c["status"] == "pass" for c in report["checks"])
 
 
-def test_cli_check_hauptlemma_choices(capsys):
+def test_cli_check_hauptlemma_choices(capsys, monkeypatch):
+    """Each run builds one edge context: the handler passes its context to
+    the check, and on the amalgam route every build runs core_sequence."""
+    import amalgamlab.verify as verify
+
+    depths = []
+    original = verify.core_sequence
+
+    def spy(am, depth):
+        depths.append(depth)
+        return original(am, depth)
+
+    monkeypatch.setattr(verify, "core_sequence", spy)
     for k, expected in [
         ("trivial", "pass"),
         ("first-edge-kernel", "vacuous"),
         ("sylow-product", "vacuous"),
     ]:
+        depths.clear()
         code, out, _ = run_cli(
             capsys,
             "check", "hauptlemma",
@@ -711,6 +751,7 @@ def test_cli_check_hauptlemma_choices(capsys):
         assert code == 0
         (report,) = json_lines(out)
         assert report["checks"][0]["status"] == expected
+        assert depths == [1]
 
 
 def test_cli_amalgam_commands(capsys):
