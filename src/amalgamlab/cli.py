@@ -438,21 +438,7 @@ def _cmd_trace_claims(args: argparse.Namespace) -> list[Report]:
     from .verify import proof_trace
 
     instance = _theorem_instance(args)
-    trace, report = proof_trace(instance, args.n, edge=_parse_edge(args.edge))
-    if trace.prime is not None:
-        report.inputs["subgroup_orders"] = {
-            "s_xy": trace.s_xy.order(),
-            "z_xy": trace.z_xy.order(),
-            "q_x": trace.q_x.order(),
-            "q_y": trace.q_y.order(),
-            "z_x": trace.z_x.order(),
-            "z_y": trace.z_y.order(),
-            "r1": trace.r1.order(),
-            "r2": trace.r2.order(),
-            "r1_star": trace.r1_star.order(),
-            "r2_star": trace.r2_star.order(),
-        }
-    return [report]
+    return [proof_trace(instance, args.n, edge=_parse_edge(args.edge))]
 
 
 def _cmd_check_hauptlemma(args: argparse.Namespace) -> list[Report]:

@@ -21,7 +21,7 @@ from .errors import (
     GraphError,
     GuardExceededError,
 )
-from .group import ActionHom, PermGroup
+from .group import ActionHom, PermGroup, intersection
 from .perm import Permutation
 
 __all__ = [
@@ -444,8 +444,6 @@ def coset_graph(
     (connectivity).  Degenerate incidence (distinct edge cosets joining
     the same vertex pair) is refused.
     """
-    from .group import intersection
-
     if not vertex_sub.is_subgroup_of(group):
         raise ConstructionError("vertex subgroup not inside the group")
     if not edge_sub.is_subgroup_of(group):

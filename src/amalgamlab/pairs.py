@@ -236,11 +236,11 @@ def verify_approximation(n: int) -> Report:
         )
         return report
     for p in active:
+        witness = sylow(stab, p)
         for i, tower in enumerate(towers, start=1):
             tower_sylow = sylow(tower, p)
             # The stabilizer contains a Sylow p-subgroup of the tower
             # exactly when its own Sylow p-subgroup already has full order.
-            witness = sylow(stab, p)
             inside = (
                 witness.order() == tower_sylow.order()
                 and witness.is_subgroup_of(tower)

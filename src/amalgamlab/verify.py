@@ -9,7 +9,8 @@ n = 5 or n >= 7, and radius 3 for n = 4 or 6.
 the radius for the given n.  ``proof_trace`` re-runs, on one instance, the
 chain of subgroup facts that the proof of the theorem establishes along
 the way (claims 1, 3, 4 and 5 plus the derived identities); every claim is
-reported honestly as pass / violated / vacuous.  ``hauptlemma_check``
+reported honestly as pass / violated / vacuous, in one ``Report`` that
+also carries the orders of the subgroups built.  ``hauptlemma_check``
 evaluates the basic lemma that powers all of them: a subgroup of the arc
 stabilizer that is normal in the edge group and whose normalizer in the
 vertex group is transitive on the neighbors must be trivial.
@@ -58,7 +59,6 @@ from .structure import (
 __all__ = [
     "EdgeContext",
     "LocalReference",
-    "ProofTrace",
     "edge_context",
     "edge_kernel_prime",
     "hauptlemma_check",
@@ -304,48 +304,6 @@ def verify_theorem(
 # -- the proof trace ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProofTrace:
-    """Subgroups built while re-checking the proof on one instance.
-
-    All subgroups act on the vertex group's domain.  ``r1``/``r2`` are the
-    full preimages in G_x of the two point-stabilizer towers; ``r1_star``/
-    ``r2_star`` the normal closures of S_xy inside them.  Fields are None
-    on the vacuous branch (first edge kernel trivial) and when the local
-    certification fails.
-    """
-
-    prime: int | None
-    s_xy: PermGroup | None
-    z_xy: PermGroup | None
-    q_x: PermGroup | None
-    q_y: PermGroup | None
-    z_x: PermGroup | None
-    z_y: PermGroup | None
-    r1: PermGroup | None
-    r2: PermGroup | None
-    r1_star: PermGroup | None
-    r2_star: PermGroup | None
-    claim_statuses: dict[str, str]
-
-
-def _empty_trace(report: Report) -> ProofTrace:
-    return ProofTrace(
-        prime=None,
-        s_xy=None,
-        z_xy=None,
-        q_x=None,
-        q_y=None,
-        z_x=None,
-        z_y=None,
-        r1=None,
-        r2=None,
-        r1_star=None,
-        r2_star=None,
-        claim_statuses={c.name: c.status for c in report.checks},
-    )
-
-
 _CLAIM_NAMES = (
     ("edge-kernel-prime", "edge-kernel-prime"),
     ("prime-table", "prime-table"),
@@ -369,15 +327,26 @@ _CLAIM_NAMES = (
 )
 
 
-def _characteristic_family(s: PermGroup, p: int) -> list[tuple[str, PermGroup]]:
-    """Standard characteristic subgroups of a p-group."""
+def _characteristic_family(
+    s: PermGroup, p: int, socle: PermGroup
+) -> list[tuple[str, PermGroup]]:
+    """Standard characteristic subgroups of a p-group, its center socle given."""
     return [
         ("center", s.center()),
-        ("center-socle", omega1_center(s, p)),
+        ("center-socle", socle),
         ("derived", derived_subgroup(s)),
         ("frattini", frattini_p(s, p)),
         ("thompson", thompson_subgroup(s, p)),
     ]
+
+
+def _close_claims(
+    report: Report, claims: tuple[tuple[str, str], ...], status: str, reason: str
+) -> Report:
+    """Mark claims that an early exit leaves unchecked, all for one reason."""
+    for name, anchor in claims:
+        report.add(name, status, anchor, {"reason": reason})
+    return report
 
 
 def edge_kernel_prime(ctx: EdgeContext) -> int:
@@ -390,8 +359,13 @@ def proof_trace(
     instance: PairInstance | Amalgam | EdgeContext,
     n: int,
     edge: tuple[int, int] | None = None,
-) -> tuple[ProofTrace, Report]:
-    """Re-check, on one instance, the subgroup facts the proof derives."""
+) -> Report:
+    """Re-check, on one instance, the subgroup facts the proof derives.
+
+    Past every early exit, the inputs end with ``subgroup_orders``: ``r1``
+    and ``r2`` are the preimages in G_x of the two point-stabilizer towers,
+    ``r1_star`` and ``r2_star`` the normal closures of S_xy inside them.
+    """
     if n not in (4, 5, 6):
         raise WitnessError("the trace applies for n in {4, 5, 6}")
     ctx = edge_context(instance, depth=2, edge=edge)
@@ -417,20 +391,18 @@ def proof_trace(
                 "local_order": ctx.neighbor_hom.image_group().order(),
             },
         )
-        for name, anchor in _CLAIM_NAMES:
-            report.add(name, "skipped", anchor, {"reason": "not locally the reference group"})
-        return _empty_trace(report), report
+        return _close_claims(
+            report, _CLAIM_NAMES, "skipped", "not locally the reference group"
+        )
     report.add(
         "locally-reference", "pass", "main-theorem-hypothesis", {"witness": list(ref.witness)}
     )
 
     first_kernel = ctx.edge_cores[0]
     if first_kernel.is_trivial():
-        for name, anchor in _CLAIM_NAMES:
-            report.add(
-                name, "vacuous", anchor, {"reason": "first edge kernel is trivial"}
-            )
-        return _empty_trace(report), report
+        return _close_claims(
+            report, _CLAIM_NAMES, "vacuous", "first edge kernel is trivial"
+        )
 
     order = first_kernel.order()
     p = edge_kernel_prime(ctx)
@@ -442,14 +414,12 @@ def proof_trace(
         {"prime": p, "order": order, "p_power": p**exponent},
     )
     if residue != 1:
-        for name, anchor in _CLAIM_NAMES[1:]:
-            report.add(
-                name,
-                "skipped",
-                anchor,
-                {"reason": "first edge kernel is not a prime power"},
-            )
-        return _empty_trace(report), report
+        return _close_claims(
+            report,
+            _CLAIM_NAMES[1:],
+            "skipped",
+            "first edge kernel is not a prime power",
+        )
 
     report.require(
         "prime-table",
@@ -468,16 +438,17 @@ def proof_trace(
     for label, sub in (("radical", q_x), ("socle", z_x)):
         centralizer = ctx.amalgam.a.centralizer(sub)
         induced = ctx.neighbor_image(centralizer)
+        semiregular = induced.is_semiregular()
         report.require(
             f"claim1-centralizer-of-{label}",
-            not induced.is_transitive() and induced.is_semiregular(),
+            not induced.is_transitive() and semiregular,
             "claim-1",
             {
                 "centralizer_order": centralizer.order(),
                 "neighbor_orbit_sizes": sorted(
                     len(o) for o in induced.orbits()
                 ),
-                "semiregular": induced.is_semiregular(),
+                "semiregular": semiregular,
             },
         )
 
@@ -503,8 +474,8 @@ def proof_trace(
 
     towers = _coordinate_tower_preimages(ctx, ref)
     stars = tuple(r.normal_closure(s_xy) for r in towers)
-    family = _characteristic_family(s_xy, p)
-    for i, (tower, star) in enumerate(zip(towers, stars), start=1):
+    family = _characteristic_family(s_xy, p, z_xy)
+    for i, star in enumerate(stars, start=1):
         radical = o_p(star, p)
         report.require(
             f"claim3-radical-r{i}",
@@ -584,21 +555,12 @@ def proof_trace(
         {"second_edge_kernel_order": ctx.edge_cores[1].order()},
     )
 
-    trace = ProofTrace(
-        prime=p,
-        s_xy=s_xy,
-        z_xy=z_xy,
-        q_x=q_x,
-        q_y=q_y,
-        z_x=z_x,
-        z_y=z_y,
-        r1=towers[0],
-        r2=towers[1],
-        r1_star=stars[0],
-        r2_star=stars[1],
-        claim_statuses={c.name: c.status for c in report.checks},
-    )
-    return trace, report
+    names = ("s_xy", "z_xy", "q_x", "q_y", "z_x", "z_y", "r1", "r2", "r1_star", "r2_star")
+    subgroups = (s_xy, z_xy, q_x, q_y, z_x, z_y, *towers, *stars)
+    report.inputs["subgroup_orders"] = {
+        name: sub.order() for name, sub in zip(names, subgroups)
+    }
+    return report
 
 
 # -- the basic lemma ----------------------------------------------------------

@@ -174,13 +174,13 @@ def test_acceptance_6_proof_trace():
     started = time.perf_counter()
     base = build_ordered_pairs(4).group
     seed = classify_action(base).witnesses["quasiprimitive"]
-    trace, report = proof_trace(_section4(base, seed, "tutte-coxeter"), 4)
+    report = proof_trace(_section4(base, seed, "tutte-coxeter"), 4)
 
     assert report.overall == "pass"
     assert all(c.status == "pass" for c in report.checks)  # zero violations
     checks = {c.name: c for c in report.checks}
 
-    assert trace.prime == 2
+    assert checks["edge-kernel-prime"].details["prime"] == 2
     table = checks["prime-table"]
     assert table.status == "pass"
     assert sorted(tuple(row) for row in table.details["table"]) == [(4, 2), (5, 3), (6, 2)]

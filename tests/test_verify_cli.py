@@ -21,6 +21,7 @@ from amalgamlab.pairs import build_ordered_pairs
 from amalgamlab.perm import format_group_file, parse_permutation
 from amalgamlab.structure import o_p
 from amalgamlab.verify import (
+    _CLAIM_NAMES,
     PRIME_TABLE,
     certify_local,
     edge_context,
@@ -188,35 +189,50 @@ def test_verify_theorem_violation_is_witnessed():
 
 
 def test_proof_trace_frozen_subgroup_orders():
-    trace, report = proof_trace(section4_amalgam("tutte-coxeter"), 4)
-    assert trace.prime == 2
-    assert trace.s_xy.order() == 16
-    assert trace.z_xy.order() == 4
-    assert trace.q_x.order() == 8
-    assert trace.q_y.order() == 8
-    assert trace.z_x.order() == 8
-    assert trace.z_y.order() == 8
-    assert trace.r1.order() == 48
-    assert trace.r2.order() == 48
-    assert trace.r1_star.order() == 48
-    assert trace.r2_star.order() == 48
+    report = proof_trace(section4_amalgam("tutte-coxeter"), 4)
+    checks = {c.name: c for c in report.checks}
+    assert checks["edge-kernel-prime"].details["prime"] == 2
+    assert report.inputs["subgroup_orders"] == {
+        "s_xy": 16,
+        "z_xy": 4,
+        "q_x": 8,
+        "q_y": 8,
+        "z_x": 8,
+        "z_y": 8,
+        "r1": 48,
+        "r2": 48,
+        "r1_star": 48,
+        "r2_star": 48,
+    }
+    assert list(report.inputs)[-1] == "subgroup_orders"
     assert report.overall == "pass"
     assert len(report.checks) == 20
     assert all(c.status == "pass" for c in report.checks)
-    assert set(trace.claim_statuses.values()) == {"pass"}
 
 
 def test_proof_trace_vacuous_when_edge_kernel_trivial():
-    trace, report = proof_trace(section4_amalgam("k4"), 4)
+    report = proof_trace(section4_amalgam("k4"), 4)
     statuses = {c.name: c.status for c in report.checks}
     assert statuses["locally-reference"] == "pass"
     del statuses["locally-reference"]
     assert set(statuses.values()) == {"vacuous"}
     assert report.overall == "pass"
+    assert "subgroup_orders" not in report.inputs
     # Vacuous claims are never upgraded to "pass".
-    assert "pass" not in [
-        v for k, v in trace.claim_statuses.items() if k != "locally-reference"
-    ]
+    assert "pass" not in statuses.values()
+
+
+def test_proof_trace_skipped_when_not_locally_reference():
+    """Valency 12 is not n(n - 1) = 20: every claim is skipped, in the
+    order the trace lists them, and no subgroup is built."""
+    report = proof_trace(section4_amalgam("tutte-coxeter"), 5)
+    assert [(c.name, c.status) for c in report.checks] == [
+        ("locally-reference", "violated")
+    ] + [(name, "skipped") for name, _ in _CLAIM_NAMES]
+    assert len(report.checks) == 20
+    assert report.checks[0].details["valency"] == 12
+    assert report.exit_code == 1
+    assert "subgroup_orders" not in report.inputs
 
 
 def test_proof_trace_rejects_out_of_table_n():
@@ -722,6 +738,36 @@ def test_cli_trace_claims(capsys):
     (report,) = json_lines(out)
     assert report["inputs"]["subgroup_orders"]["s_xy"] == 16
     assert all(c["status"] == "pass" for c in report["checks"])
+
+
+@pytest.mark.parametrize(
+    "command, after",
+    [
+        (("verify", "theorem"), ["skipped"]),
+        (("trace", "claims"), ["skipped"] * 19),
+    ],
+)
+def test_cli_graph_not_locally_reference_is_exit_1(capsys, tmp_path, command, after):
+    """The cubic Tutte–Coxeter graph is not locally the n = 4 pairs action:
+    the hypothesis check is violated and everything after it skipped."""
+    tc = catalog_graph("tutte-coxeter")
+    graph_file = tmp_path / "tc.txt"
+    group_file = tmp_path / "tc.grp"
+    graph_file.write_text(format_graph(tc.graph))
+    group_file.write_text(format_group_file(tc.group.degree, tc.group.generators))
+    code, out, _ = run_cli(
+        capsys,
+        *command,
+        "--n", "4",
+        "--graph", str(graph_file),
+        "--group", str(group_file),
+        "--json",
+    )
+    assert code == 1
+    (report,) = json_lines(out)
+    assert [c["status"] for c in report["checks"]] == ["violated", *after]
+    assert report["checks"][0]["name"] == "locally-reference"
+    assert "subgroup_orders" not in report["inputs"]
 
 
 def test_cli_check_hauptlemma_choices(capsys, monkeypatch):
