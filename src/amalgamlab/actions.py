@@ -166,9 +166,6 @@ class ClassificationReport:
     plinths: tuple[PermGroup, ...]
     block_system: tuple[tuple[int, ...], ...] | None
 
-    def at_least(self, level: str) -> bool:
-        return LEVELS.index(self.level) >= LEVELS.index(level)
-
 
 def classify_action(group: PermGroup) -> ClassificationReport:
     from .structure import normal_subgroups

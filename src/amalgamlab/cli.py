@@ -73,9 +73,10 @@ def _load_instance(source: str) -> PairInstance:
         parse_graph,
     )
 
-    if source in catalog_names():
+    path = Path(source)
+    if source in catalog_names() or not path.exists():
         return catalog_graph(source)
-    graph = parse_graph(Path(source).read_text())
+    graph = parse_graph(path.read_text())
     return pair_instance(graph, graph_automorphisms(graph))
 
 

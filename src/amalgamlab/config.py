@@ -2,9 +2,10 @@
 
 Potentially explosive routines raise GuardExceededError past one of these
 guards.  ``elements`` bounds what one walk does, not a group order: the
-elements it yields, or the nodes a backtrack forms; the others bound input
-sizes.  The two guards that practical use bumps into can be set per process
-through environment variables, each to a positive integer:
+elements it yields, the draws of a Sylow search, or the nodes a backtrack
+forms; the others bound input sizes.  The two guards that practical use
+bumps into can be set per process through environment variables, each to a
+positive integer:
 
     AMALGAMLAB_GUARD_ELEMENTS   elements per walk, nodes per backtrack  (default 200000)
     AMALGAMLAB_GUARD_DEGREE     coset-action and group-file degree      (default 100000)

@@ -15,6 +15,7 @@ labelings and enumeration orders.  All arithmetic is exact.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
@@ -318,6 +319,13 @@ class _Chain:
                 yield from rec(i + 1, kernels.compose(u, partial))
 
         return rec(0, identity)
+
+    def draw(self, rng: random.Random) -> tuple:
+        """A uniform element: one coset representative drawn per level."""
+        acc = self._identity
+        for lvl in self.levels:
+            acc = kernels.compose(lvl.transversal[rng.choice(lvl.orbit)], acc)
+        return acc
 
 
 class PermGroup:

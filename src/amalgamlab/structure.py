@@ -1,11 +1,12 @@
 """Subgroup functors: Sylow subgroups, cores, residuals, and normal lattices.
 
 Everything here is exact and deterministic.  Cores, p-residuals and
-Omega_1 come from intersections, normal closures and `ActionHom` kernels.
-Only `sylow`, the type pass and class walk of `conjugacy_classes` (hence
-`normal_subgroups`) and the Thompson search of a non-abelian group walk
-elements, each counted against the ``elements`` guard as it goes; the
-Thompson search also has an order guard, as it is exponential at worst.
+Omega_1 come from intersections, normal closures and `ActionHom` kernels,
+Sylow subgroups from seeded random draws.  Only the type pass and class
+walk of `conjugacy_classes` (hence `normal_subgroups`) and the Thompson
+search of a non-abelian group walk elements, each counted against the
+``elements`` guard as it goes; the Thompson search also has an order
+guard, as it is exponential at worst.
 
 Conjugacy classes are certified rather than walked where the group allows
 it: representatives of distinct cycle types are never conjugate, so once
@@ -27,6 +28,7 @@ Conventions
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
@@ -135,35 +137,26 @@ def _require_p_group(group: PermGroup, p: int, where: str) -> None:
 
 
 def sylow(group: PermGroup, p: int) -> PermGroup:
-    """A Sylow p-subgroup, grown deterministically.
+    """A Sylow p-subgroup, grown from draws of a `random.Random` seeded by p.
 
-    Seed: the p-part of the first element (in enumeration order) whose order
-    p divides.  Growth: while not yet of full p-power order, scan the
-    normalizer of the current p-subgroup P for the first p-element outside
-    P and adjoin it; P normal in its normalizer makes the span a p-group
-    again, and such an element always exists while P is not Sylow.
+    P starts trivial in host G.  Each draw, one tick of the ``elements``
+    guard, is a uniform element of the host; its p-part is adjoined when
+    outside P, and the host becomes N_G(P).  P is normal in its normalizer,
+    so the span is again a p-group; while P is not Sylow, p divides
+    |N_G(P) : P|, so some draw lands outside P.  Reports use only the
+    order and core of the result, which do not depend on the draws.
     """
     _require_prime(p)
     a, _ = p_valuation(group.order(), p)
-    if a == 0:
-        return trivial_group(group.degree)
-    target = p**a
-    seed = None
-    for g in group.elements():
-        if g.order() % p == 0:
-            seed = p_part(g, p)
-            break
-    assert seed is not None  # Cauchy: p divides the order
-    current = PermGroup([seed], degree=group.degree)
-    while current.order() < target:
-        normalizer = group.normalizer(current)
-        for x in normalizer.elements():
-            y = p_part(x, p)
-            if not y.is_identity() and y not in current:
-                current = PermGroup(
-                    current.generators + (y,), degree=group.degree
-                )
-                break
+    rng, ticks = random.Random(p), _element_ticks()
+    current, host = trivial_group(group.degree), group
+    while current.order() < p**a:
+        next(ticks)
+        y = p_part(Permutation._raw(host.chain().draw(rng)), p)
+        if not y.is_identity() and y not in current:
+            current = PermGroup(current.generators + (y,), degree=group.degree)
+            if current.order() < p**a:
+                host = group.normalizer(current)
     return current
 
 

@@ -509,8 +509,10 @@ def test_omega1_center_matches_scan():
 
 def test_cores_and_p_functors_scan_no_elements(monkeypatch):
     """`core`, `o_upper_p`, `omega1_center` and the abelian Thompson
-    subgroup come from intersections, normal closures and kernels: no
-    element walk and no coset action."""
+    subgroup come from intersections, normal closures and kernels, and
+    `sylow` (hence `o_p`) from seeded draws: no element walk and no coset
+    action.  The draws are repeatable and leave the global `random` state
+    alone."""
     rng = random.Random(109)
     cases = []
     for _ in range(10):
@@ -524,6 +526,7 @@ def test_cores_and_p_functors_scan_no_elements(monkeypatch):
             scan_o_upper_p(g, p),
             scan_omega1_center(x, p),
             scan_omega1_center(z, p),
+            g.coset_action(x).kernel,
         )
         cases.append((g, h, p, x, z, expected))
 
@@ -533,14 +536,20 @@ def test_cores_and_p_functors_scan_no_elements(monkeypatch):
     monkeypatch.setattr(_Chain, "iter_elements", refuse)
     monkeypatch.setattr(PermGroup, "coset_action", refuse)
     for g, h, p, x, z, expected in cases:
+        state = random.getstate()
         found = (
             g.core(h),
             o_upper_p(g, p),
             omega1_center(x, p),
             thompson_subgroup(z, p),
+            o_p(g, p),
         )
         for a, b in zip(found, expected):
             assert_same_group(a, b)
+        first, second = sylow(g, p), sylow(g, p)
+        assert first.order() == p ** p_valuation(g.order(), p)[0]
+        assert first.generators == second.generators
+        assert random.getstate() == state
 
 
 def oracle_elementary_abelian_maxima(x, p):

@@ -407,7 +407,8 @@ def test_cli_graph_balls(capsys):
 def test_cli_graph_balls_missing_file_is_exit_2(capsys):
     code, _, err = run_cli(capsys, "graph", "balls", "nosuchfile")
     assert code == 2
-    assert err.strip()
+    (line,) = err.splitlines()
+    assert "nosuchfile" in line and "tutte-coxeter" in line
 
 
 @pytest.mark.parametrize(
@@ -583,16 +584,16 @@ def test_cli_bad_guard_is_exit_2(capsys, monkeypatch, name, value):
 
 
 def test_cli_huge_n_range_stops_at_the_guard(capsys):
-    """The range is never materialised: n = 9..12 pass, and n = 13 stops
-    where the element guard trips, in the seed walk of `sylow`."""
+    """The range is never materialised: n = 9..14 pass, and n = 15 stops
+    on the fixed order cap, as 15! exceeds 10^12."""
     code, out, err = run_cli(
         capsys, "lemma", "verify", "--n", "9..100000000000000000000", "--json"
     )
     assert code == 2
     assert out == ""
     assert err.splitlines() == [
-        "error: guard 'elements' exceeded: limit 200000, "
-        "computation needs more than 200000"
+        "error: guard 'order' exceeded: limit 1000000000000, "
+        "computation needs 1307674368000"
     ]
 
 
