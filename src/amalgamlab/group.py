@@ -18,10 +18,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
+from operator import itemgetter, ne
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import kernels
-from .config import guards
+from .config import Guards, guards
 from .errors import (
     ConstructionError,
     DegreeMismatchError,
@@ -97,6 +99,8 @@ class _Chain:
     generators.
     """
 
+    order_cap = Guards.order
+
     def __init__(
         self,
         degree: int,
@@ -105,8 +109,17 @@ class _Chain:
         bound: int | None = None,
     ) -> None:
         self.degree = degree
-        self.rank = list(rank) if rank is not None else None
-        self.order_cap = guards().order
+        # The points in rank order, and for a ranked chain the gather that
+        # lists an image tuple's values in that order (see `_min_moved`).
+        # Below degree 2 no point moves, so the ranking is moot.
+        if rank is None or degree < 2:
+            self.rank = None
+            self._points: Sequence[int] = range(degree)
+            self._gather = None
+        else:
+            self.rank = list(rank)
+            self._points = sorted(range(degree), key=self.rank.__getitem__)
+            self._gather = itemgetter(*self._points)
         self.bound = bound
         self.complete = False
         self.levels: list[_Level] = []
@@ -118,11 +131,7 @@ class _Chain:
                 seen.add(img)
                 seeds.append(img)
         if seeds:
-            base = min(
-                (x for img in seeds for x in Permutation._raw(img).moved_points()),
-                key=self._point_rank,
-            )
-            lvl = _Level(base)
+            lvl = _Level(self._lowest_moved(seeds))
             lvl.gens = list(seeds)
             lvl.gen_set = set(seeds)
             self.levels.append(lvl)
@@ -135,7 +144,16 @@ class _Chain:
         return self.rank[point] if self.rank is not None else point
 
     def _min_moved(self, img: tuple) -> int:
-        return min(Permutation._raw(img).moved_points(), key=self._point_rank)
+        """The lowest-ranked point that img moves, found by one C-level
+        scan of the points in rank order; img is not the identity."""
+        points = self._points
+        gathered = img if self._gather is None else self._gather(img)
+        return next(compress(points, map(ne, gathered, points)))
+
+    def _lowest_moved(self, imgs: Iterable[tuple]) -> int:
+        """The lowest-ranked point that any of imgs moves."""
+        key = None if self.rank is None else self.rank.__getitem__
+        return min(map(self._min_moved, imgs), key=key)
 
     def effective_gens(self, i: int) -> list[tuple]:
         return list(self.levels[i].gens) if i < len(self.levels) else []
@@ -186,10 +204,11 @@ class _Chain:
         generator moves a point ranked below an existing base, the chain
         tail from that level on is collapsed and re-based.
         """
-        m_rank = self._point_rank(self._min_moved(img))
+        moved = self._min_moved(img)
+        m_rank = self._point_rank(moved)
         for k in range(lo, j + 1):
             if k == len(self.levels):
-                lvl = _Level(self._min_moved(img))
+                lvl = _Level(moved)
                 lvl.gens = [img]
                 lvl.gen_set = {img}
                 self.levels.append(lvl)
@@ -200,16 +219,7 @@ class _Chain:
             if m_rank < self._point_rank(lvl.base):
                 gens = lvl.gens + [img]
                 del self.levels[k:]
-                fresh = _Level(
-                    min(
-                        (
-                            x
-                            for g in gens
-                            for x in Permutation._raw(g).moved_points()
-                        ),
-                        key=self._point_rank,
-                    )
-                )
+                fresh = _Level(self._lowest_moved(gens))
                 fresh.gens = gens
                 fresh.gen_set = set(gens)
                 self.levels.append(fresh)

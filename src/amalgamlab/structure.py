@@ -11,8 +11,9 @@ guard, as it is exponential at worst.
 Conjugacy classes are certified rather than walked where the group allows
 it: representatives of distinct cycle types are never conjugate, so once
 the classes of the cycle types met in chain order add up to |G|, no class
-is missing.  Only a group in which some cycle type holds several classes
-falls back to closing classes under conjugation.
+is missing.  In Sym(k) on its k points the class of a cycle type has a
+known size, so none is closed.  Only a group in which some cycle type holds
+several classes falls back to closing every class under conjugation.
 
 The normal-subgroup lattice of a transitive group is worked out in a
 faithful action on a minimal block system when there is one, and pulled
@@ -29,7 +30,9 @@ Conventions
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
+from math import factorial
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
@@ -367,23 +370,31 @@ def conjugacy_classes(
     one cycle type, so the first element of a type that is one class is
     the first element of that class.
 
-    A class is sized by closing it under conjugation by the generators
-    while it has at most b*m elements, for a chain of b levels holding m
-    coset representatives; a larger class is sized as |G| / |C_G(r)| by
-    the centralizer backtrack.  b*m bounds the nodes of a backtrack that
-    follows every child of the identity path down to a leaf, and on
-    Sym(n) on pairs the closure and the backtrack cost about the same at
-    that class size.
+    When the group the classes are taken in (the group, or its image
+    below) has order k! on its k points, it is Sym(k): each cycle type is
+    one class, and the class of the type with m_i cycles of length i has
+    k!/z elements, z = prod i^(m_i) m_i! (Sagan, *The Symmetric Group*,
+    2nd ed., Prop. 1.1.1).  Any other class is sized by closing it under
+    conjugation by the generators while it has at most b*m elements, for
+    a chain of b levels holding m coset representatives; a larger class
+    is sized as |G| / |C_G(r)| by the centralizer backtrack.  b*m bounds
+    the nodes of a backtrack that follows every child of the identity
+    path down to a leaf, and on Sym(n) on pairs the closure and the
+    backtrack cost about the same at that class size.  Either way the
+    walk and its stop are the same, so the representatives and their
+    order do not depend on how a class is sized.
 
     Once a type has met more elements than its class holds, it is a union
     of several classes (as in Alt(n)), and `_class_walk` finishes.
 
     `_image`, from `normal_subgroups`, is a faithful image of the group:
     the walk then keeps the group's chain order but carries each element
-    as its image, and cycle types, closures and centralizers are taken in
-    the image.  Images of conjugate elements are conjugate in the image,
-    so the cycle type there is a class invariant as well, and the
-    argument above holds unchanged: the representatives are the same.
+    as its image, and cycle types, class sizes, closures and centralizers
+    are taken in the image.  Images of conjugate elements are conjugate in
+    the image, so the cycle type there is a class invariant as well, and
+    the argument above holds unchanged: the representatives are the same.
+    Sym(n) on pairs acts faithfully on the n blocks of a first coordinate,
+    so its classes are sized by the formula there.
     """
     image = _image if _image is not None else _Image.itself(group)
     order = group.order()
@@ -393,6 +404,7 @@ def conjugacy_classes(
     key = itemgetter(*base) if base else (lambda t: ())
     gens = [(kernels.inverse(s), s) for s in target.gen_images()]
     limit = len(base) * sum(len(orbit) for orbit in target.basic_orbits())
+    symmetric = _is_symmetric(target)
     classes: list[ConjugacyClass] = []
     positions: list[int] = []
     type_index: dict[tuple, int] = {}
@@ -407,9 +419,12 @@ def conjugacy_classes(
                 break
             continue
         type_index[ct] = len(classes)
-        size = _close_class(t, gens, key, set(), iter(range(limit - 1)))
-        if size is None:
-            size = order // target.centralizer(Permutation._raw(t)).order()
+        if symmetric:
+            size = order // _centralizer_order(ct)
+        else:
+            size = _close_class(t, gens, key, set(), iter(range(limit - 1)))
+            if size is None:
+                size = order // target.centralizer(Permutation._raw(t)).order()
         classes.append(ConjugacyClass(Permutation._raw(image.preimage(t)), size))
         positions.append(pos)
         counts.append(1)
@@ -450,6 +465,27 @@ def _class_walk(
             break
     found.sort(key=itemgetter(0))
     return [c for _, c in found]
+
+
+def _is_symmetric(group: PermGroup) -> bool:
+    """Whether the group has order k! on its k points, that is, is Sym(k);
+    the factorial is multiplied out no further than the order."""
+    order, product = group.order(), 1
+    for i in range(2, group.degree + 1):
+        product *= i
+        if product > order:
+            return False
+    return product == order
+
+
+def _centralizer_order(cycle_type: tuple[int, ...]) -> int:
+    """z_lambda = prod i^(m_i) m_i!, the order of the centralizer in S_k of
+    an element whose k cycle lengths, fixed points included, are
+    `cycle_type` with m_i cycles of length i."""
+    z = 1
+    for length, cycles in Counter(cycle_type).items():
+        z *= length**cycles * factorial(cycles)
+    return z
 
 
 def _close_class(

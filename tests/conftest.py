@@ -183,6 +183,14 @@ def scan_intersection(a: PermGroup, b: PermGroup) -> PermGroup:
     )
 
 
+def oracle_lowest_moved(gens, rank) -> int:
+    """The lowest-ranked point that any of the image tuples gens moves:
+    the least of their moved points under `rank`, a list from point to
+    rank (None ranks the points in their natural order)."""
+    key = None if rank is None else rank.__getitem__
+    return min((x for g in gens for x in Permutation(g).moved_points()), key=key)
+
+
 def scan_conjugacy_classes(group: PermGroup) -> list[tuple[tuple, int]]:
     """(representative, size) of every class, walking every element in
     chain order; each element outside the classes found starts a new one,

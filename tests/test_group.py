@@ -36,6 +36,7 @@ from conftest import (
     invert_images,
     mulclose,
     oracle_kernel,
+    oracle_lowest_moved,
     oracle_normal_closure,
     random_group,
     random_perm,
@@ -594,6 +595,32 @@ def test_known_order_stop_on_graph_groups(monkeypatch):
             target_first[x] = i
         for rank in (None, target_first):
             _bounded_matches(degree, graph.gen_images(), rank, counted)
+
+
+def test_chain_bases_are_the_lowest_ranked_moved_points():
+    """Every level's base is the lowest-ranked point that the level's
+    generators move: in natural order, in a shuffled ranking, and in the
+    ranking `_prefix_chain` gives a shuffled prefix of points."""
+    rng = random.Random(2028)
+    cases = []
+    for _ in range(200):
+        degree, gens = _random_generators(rng)
+        rank = list(range(degree))
+        rng.shuffle(rank)
+        cases += [(_Chain(degree, gens), None), (_Chain(degree, gens, rank=rank), rank)]
+    for _ in range(40):
+        g = random_group(rng)
+        prefix = rng.sample(range(g.degree), rng.randrange(1, g.degree + 1))
+        # The repeated point is dropped: it keeps its first place.
+        chain, _ = g._prefix_chain(prefix + prefix[:1])
+        rank = [0] * g.degree
+        for i, x in enumerate(prefix + [x for x in range(g.degree) if x not in prefix]):
+            rank[x] = i
+        cases += [(g.chain(), None), (chain, rank)]
+    assert sum(len(chain.levels) for chain, _ in cases) > 2 * len(cases)
+    for chain, rank in cases:
+        for lvl in chain.levels:
+            assert lvl.base == oracle_lowest_moved(lvl.gens, rank)
 
 
 def test_order_guard_trips_on_huge_groups():

@@ -301,6 +301,74 @@ def test_sym_pairs_classes_are_certified_without_the_class_walk(monkeypatch):
     assert walked == []
 
 
+def _spy_class_sizing(monkeypatch):
+    """Calls of the bounded class closure and of the centralizer search."""
+    calls = []
+    close = structure._close_class
+    centralizer = PermGroup.centralizer
+
+    def closing(*args):
+        calls.append("close")
+        return close(*args)
+
+    def centralizing(self, other):
+        calls.append("centralizer")
+        return centralizer(self, other)
+
+    monkeypatch.setattr(structure, "_close_class", closing)
+    monkeypatch.setattr(PermGroup, "centralizer", centralizing)
+    return calls
+
+
+def test_symmetric_classes_are_sized_by_formula(monkeypatch):
+    """A group of order k! on k points is Sym(k), whose cycle types are
+    its classes, of k!/z_lambda elements each.  Natural and relabelled
+    Sym(k), and the faithful Sym(n) image in which `normal_subgroups`
+    takes the classes of Sym(n) on pairs, list the full walk's classes
+    without closing a class or searching a centralizer."""
+    rng = random.Random(109)
+    groups = [symmetric_group(k) for k in range(8)]
+    for k in range(2, 8):
+        sigma = random_perm(rng, k).images
+        gens = [conjugate_images(g, sigma) for g in symmetric_group(k).gen_images()]
+        gens.append(random_perm(rng, k).images)
+        rng.shuffle(gens)
+        groups.append(PermGroup.from_images(k, gens))
+    recorded = []
+    classes_of = structure.conjugacy_classes
+
+    def recording(group, **kwargs):
+        classes = classes_of(group, **kwargs)
+        recorded.append((group, classes))
+        return classes
+
+    sizing = _spy_class_sizing(monkeypatch)
+    for g in groups:
+        assert _class_list(g) == scan_conjugacy_classes(g)
+    monkeypatch.setattr(structure, "conjugacy_classes", recording)
+    pairs = [relabelled_pairs_group(n, rng) for n in (4, 5, 6, 7)]
+    lattices = [[n.order() for n in normal_subgroups(g)] for g in pairs]
+    assert sizing == []
+    assert lattices == [[1, 4, 12, 24], [1, 60, 120], [1, 360, 720], [1, 2520, 5040]]
+    assert [id(g) for g, _ in recorded] == [id(g) for g in pairs]
+    for g, classes in recorded:
+        got = [(c.representative.images, c.size) for c in classes]
+        assert got == scan_conjugacy_classes(g)
+
+
+def test_classes_of_other_groups_are_closed(monkeypatch):
+    """Alt(k) is not Sym(k), and Sym(4) on its 12 ordered pairs, handed
+    to `conjugacy_classes` itself, has order 4! on more than 4 points:
+    both still size their classes by closure."""
+    from amalgamlab.pairs import build_ordered_pairs
+
+    sizing = _spy_class_sizing(monkeypatch)
+    for g in (alternating_group(6), build_ordered_pairs(4).group):
+        sizing.clear()
+        assert _class_list(g) == scan_conjugacy_classes(g)
+        assert "close" in sizing
+
+
 def test_class_walk_stops_at_the_group_order(monkeypatch):
     """On Sym(7) on pairs the type pass ends once its certified classes
     cover the group, before the chain has yielded every element."""
