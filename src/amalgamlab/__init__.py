@@ -5,7 +5,6 @@ from .perm import Permutation, parse_permutation, format_group_file, parse_group
 from .group import (
     ActionHom,
     PermGroup,
-    SubgroupRelation,
     alternating_group,
     commutator_subgroup,
     cyclic_group,
@@ -13,7 +12,6 @@ from .group import (
     dihedral_group,
     generate_group,
     intersection,
-    subgroup_relations,
     symmetric_group,
     trivial_group,
 )

@@ -15,7 +15,6 @@ actions induced on invariant sets and invariant partitions.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from . import kernels
 from .config import guards
@@ -44,14 +43,22 @@ LEVELS = (
 )
 
 
-@dataclass(frozen=True)
 class ActionProfile:
     """Transitivity and semiregularity of one action."""
 
-    transitive: bool
-    semiregular: bool
-    regular: bool
-    orbits: tuple[tuple[int, ...], ...]
+    __slots__ = ("transitive", "semiregular", "regular", "orbits")
+
+    def __init__(
+        self,
+        transitive: bool,
+        semiregular: bool,
+        regular: bool,
+        orbits: tuple[tuple[int, ...], ...],
+    ) -> None:
+        self.transitive = transitive
+        self.semiregular = semiregular
+        self.regular = regular
+        self.orbits = orbits
 
 
 def action_profile(group: PermGroup) -> ActionProfile:
@@ -151,7 +158,6 @@ def is_primitive(group: PermGroup) -> bool:
 # -- classification ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ClassificationReport:
     """Where one action sits in the transitivity hierarchy.
 
@@ -161,10 +167,19 @@ class ClassificationReport:
     certificate whenever the action is imprimitive.
     """
 
-    level: str
-    witnesses: dict[str, PermGroup]
-    plinths: tuple[PermGroup, ...]
-    block_system: tuple[tuple[int, ...], ...] | None
+    __slots__ = ("level", "witnesses", "plinths", "block_system")
+
+    def __init__(
+        self,
+        level: str,
+        witnesses: dict[str, PermGroup],
+        plinths: tuple[PermGroup, ...],
+        block_system: tuple[tuple[int, ...], ...] | None,
+    ) -> None:
+        self.level = level
+        self.witnesses = witnesses
+        self.plinths = plinths
+        self.block_system = block_system
 
 
 def classify_action(group: PermGroup) -> ClassificationReport:

@@ -25,8 +25,6 @@ The two amalgam-level engines are:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import kernels
 from .errors import AmalgamError, ConstructionError
 from .graphs import PairInstance
@@ -143,23 +141,30 @@ class GroupIso:
         )
 
 
-@dataclass(frozen=True)
 class Amalgam:
     """Groups A and B sharing C, with the identification made explicit."""
 
-    a: PermGroup
-    b: PermGroup
-    c_in_a: PermGroup
-    c_in_b: PermGroup
-    phi: GroupIso
+    __slots__ = ("a", "b", "c_in_a", "c_in_b", "phi")
 
-    def __post_init__(self) -> None:
-        if not self.c_in_a.is_subgroup_of(self.a):
+    def __init__(
+        self,
+        a: PermGroup,
+        b: PermGroup,
+        c_in_a: PermGroup,
+        c_in_b: PermGroup,
+        phi: GroupIso,
+    ) -> None:
+        if not c_in_a.is_subgroup_of(a):
             raise AmalgamError("C is not a subgroup of A")
-        if not self.c_in_b.is_subgroup_of(self.b):
+        if not c_in_b.is_subgroup_of(b):
             raise AmalgamError("C is not a subgroup of B")
-        if self.phi.source != self.c_in_a or self.phi.target != self.c_in_b:
+        if phi.source != c_in_a or phi.target != c_in_b:
             raise AmalgamError("phi must identify C_in_A with C_in_B")
+        self.a = a
+        self.b = b
+        self.c_in_a = c_in_a
+        self.c_in_b = c_in_b
+        self.phi = phi
 
     @property
     def index_a(self) -> int:
@@ -245,21 +250,48 @@ def core_sequence(
 # -- the inflation construction ----------------------------------------------
 
 
-@dataclass(frozen=True)
 class InflationCertificate:
     """Everything ``inflate_amalgam`` built, for independent re-checking."""
 
-    base: PermGroup                      # L, on its own domain
-    seed: PermGroup                      # S, normal semiregular intransitive
-    blocks: tuple[tuple[int, ...], ...]  # Δ = S-orbits, sorted by least point
-    block_image: PermGroup               # L's action on Δ
-    input_amalgam: Amalgam               # (H_x, H_e, H_xy)
-    input_first_core: PermGroup          # H_x^[1]
-    iso_witness: tuple[int, ...]         # local quotient ≅ block action
-    delta: int                           # block paired with the base coset
-    omega: int                           # least point of that block
-    amalgam: Amalgam                     # output (G_x, G_e, G_xy)
-    embedded_seed: PermGroup             # S acting on the product domain
+    __slots__ = (
+        "base",
+        "seed",
+        "blocks",
+        "block_image",
+        "input_amalgam",
+        "input_first_core",
+        "iso_witness",
+        "delta",
+        "omega",
+        "amalgam",
+        "embedded_seed",
+    )
+
+    def __init__(
+        self,
+        base: PermGroup,                      # L, on its own domain
+        seed: PermGroup,                      # S, normal semiregular intransitive
+        blocks: tuple[tuple[int, ...], ...],  # Δ = S-orbits, sorted by least point
+        block_image: PermGroup,               # L's action on Δ
+        input_amalgam: Amalgam,               # (H_x, H_e, H_xy)
+        input_first_core: PermGroup,          # H_x^[1]
+        iso_witness: tuple[int, ...],         # local quotient ≅ block action
+        delta: int,                           # block paired with the base coset
+        omega: int,                           # least point of that block
+        amalgam: Amalgam,                     # output (G_x, G_e, G_xy)
+        embedded_seed: PermGroup,             # S acting on the product domain
+    ) -> None:
+        self.base = base
+        self.seed = seed
+        self.blocks = blocks
+        self.block_image = block_image
+        self.input_amalgam = input_amalgam
+        self.input_first_core = input_first_core
+        self.iso_witness = iso_witness
+        self.delta = delta
+        self.omega = omega
+        self.amalgam = amalgam
+        self.embedded_seed = embedded_seed
 
 
 def _embed_left(g: Permutation, right_degree: int) -> Permutation:

@@ -18,12 +18,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING
 
 from .errors import AmalgamlabError, GraphError
 from .report import Report
 
+# Type checkers read these imports; at run time `typing` is never loaded.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from .amalgams import Amalgam
     from .graphs import PairInstance
 
@@ -471,7 +474,136 @@ def _cmd_check_hauptlemma(args: argparse.Namespace) -> list[Report]:
 # -- parser -------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _action_leaves(
+    sub: argparse._SubParsersAction, common: argparse.ArgumentParser
+) -> None:
+    build = sub.add_parser("build-pairs", parents=[common])
+    build.add_argument("--n", type=int, required=True)
+    build.add_argument("--out", help="write the group to a file")
+    build.set_defaults(handler=_cmd_action_build_pairs)
+    classify = sub.add_parser("classify", parents=[common])
+    classify_src = classify.add_mutually_exclusive_group(required=True)
+    classify_src.add_argument("--pairs", type=int, help="ordered-pairs action for n")
+    classify_src.add_argument("--group", help="path to a group file")
+    classify.set_defaults(handler=_cmd_action_classify)
+
+
+def _lemma_leaves(
+    sub: argparse._SubParsersAction, common: argparse.ArgumentParser
+) -> None:
+    lverify = sub.add_parser("verify", parents=[common])
+    lverify.add_argument("--n", required=True, help="single value or range like 4..8")
+    lverify.set_defaults(handler=_cmd_lemma_verify)
+
+
+def _graph_leaves(
+    sub: argparse._SubParsersAction, common: argparse.ArgumentParser
+) -> None:
+    autos = sub.add_parser("autos", parents=[common])
+    autos.add_argument("source", help="catalog name or graph file")
+    autos.set_defaults(handler=_cmd_graph_autos)
+    balls = sub.add_parser("balls", parents=[common])
+    balls.add_argument("source")
+    balls.add_argument("--x", type=int, default=0)
+    balls.add_argument("--y", type=int, default=None)
+    balls.add_argument("--radius", type=int, default=3)
+    balls.set_defaults(handler=_cmd_graph_balls)
+    coset = sub.add_parser("coset", parents=[common])
+    coset.add_argument("source")
+    coset.add_argument("--edge", help="edge as x,y (default: first edge)")
+    coset.set_defaults(handler=_cmd_graph_coset)
+    catalog = sub.add_parser("catalog", parents=[common])
+    catalog.set_defaults(handler=_cmd_graph_catalog)
+
+
+def _amalgam_leaves(
+    sub: argparse._SubParsersAction, common: argparse.ArgumentParser
+) -> None:
+    for name, handler in (
+        ("extract", _cmd_amalgam_extract),
+        ("faithful", _cmd_amalgam_faithful),
+        ("cores", _cmd_amalgam_cores),
+    ):
+        leaf = sub.add_parser(name, parents=[common])
+        leaf.add_argument("source")
+        leaf.add_argument("--edge", help="edge as x,y (default: first edge)")
+        if name == "cores":
+            leaf.add_argument("--depth", type=int, default=3)
+        leaf.set_defaults(handler=handler)
+
+
+def _construct_leaves(
+    sub: argparse._SubParsersAction, common: argparse.ArgumentParser
+) -> None:
+    section4 = sub.add_parser("section4", parents=[common])
+    section4.add_argument(
+        "--h", default="tutte-coxeter", help="catalog source of the input amalgam"
+    )
+    section4.add_argument("--depth", type=int, default=3)
+    section4.set_defaults(handler=_cmd_construct_section4)
+
+
+def _instance_leaf(
+    sub: argparse._SubParsersAction,
+    common: argparse.ArgumentParser,
+    name: str,
+    handler: Callable[[argparse.Namespace], list[Report]],
+) -> argparse.ArgumentParser:
+    """A leaf that checks a theorem instance: `--n` and the instance flags."""
+    leaf = sub.add_parser(name, parents=[common])
+    leaf.add_argument("--n", type=int, required=True)
+    leaf.add_argument("--construct", help="catalog H-amalgam for the construction")
+    leaf.add_argument("--graph", help="path to a graph file")
+    leaf.add_argument("--group", help="path to a group file")
+    leaf.add_argument("--edge", help="edge as x,y (graph route only)")
+    leaf.set_defaults(handler=handler)
+    return leaf
+
+
+def _verify_leaves(
+    sub: argparse._SubParsersAction, common: argparse.ArgumentParser
+) -> None:
+    _instance_leaf(sub, common, "theorem", _cmd_verify_theorem)
+
+
+def _trace_leaves(
+    sub: argparse._SubParsersAction, common: argparse.ArgumentParser
+) -> None:
+    _instance_leaf(sub, common, "claims", _cmd_trace_claims)
+
+
+def _check_leaves(
+    sub: argparse._SubParsersAction, common: argparse.ArgumentParser
+) -> None:
+    haupt = _instance_leaf(sub, common, "hauptlemma", _cmd_check_hauptlemma)
+    haupt.add_argument(
+        "--k",
+        choices=("trivial", "first-edge-kernel", "sylow-product"),
+        default="first-edge-kernel",
+    )
+
+
+# Command group -> (help, builder of its leaf parsers), in help order.
+_GROUPS = {
+    "action": ("pair actions and classification", _action_leaves),
+    "lemma": ("pair-stabilizer approximation checks", _lemma_leaves),
+    "graph": ("graphs, symmetries and stabilizers", _graph_leaves),
+    "amalgam": ("vertex-edge stabilizer amalgams", _amalgam_leaves),
+    "construct": ("product amalgam construction", _construct_leaves),
+    "verify": ("main theorem instance checks", _verify_leaves),
+    "trace": ("proof-trace claim checks", _trace_leaves),
+    "check": ("basic lemma consistency checks", _check_leaves),
+}
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser for ``argv``.
+
+    argparse hands every argument after a command group's name to that
+    group's parser alone, so when ``argv`` starts with a group only its leaf
+    parsers are built.  Every group parser is still added, so the top-level
+    usage line lists them all; with no group first, every leaf is built.
+    """
     parser = argparse.ArgumentParser(
         prog="amalgamlab",
         description="Verifiers for pair actions, graph stabilizers and amalgams.",
@@ -481,102 +613,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="emit one JSON report per line"
     )
     top = parser.add_subparsers(dest="command", required=True)
-
-    action = top.add_parser("action", help="pair actions and classification")
-    action_sub = action.add_subparsers(dest="subcommand", required=True)
-    build = action_sub.add_parser("build-pairs", parents=[common])
-    build.add_argument("--n", type=int, required=True)
-    build.add_argument("--out", help="write the group to a file")
-    build.set_defaults(handler=_cmd_action_build_pairs)
-    classify = action_sub.add_parser("classify", parents=[common])
-    classify_src = classify.add_mutually_exclusive_group(required=True)
-    classify_src.add_argument("--pairs", type=int, help="ordered-pairs action for n")
-    classify_src.add_argument("--group", help="path to a group file")
-    classify.set_defaults(handler=_cmd_action_classify)
-
-    lemma = top.add_parser("lemma", help="pair-stabilizer approximation checks")
-    lemma_sub = lemma.add_subparsers(dest="subcommand", required=True)
-    lverify = lemma_sub.add_parser("verify", parents=[common])
-    lverify.add_argument("--n", required=True, help="single value or range like 4..8")
-    lverify.set_defaults(handler=_cmd_lemma_verify)
-
-    graph = top.add_parser("graph", help="graphs, symmetries and stabilizers")
-    graph_sub = graph.add_subparsers(dest="subcommand", required=True)
-    autos = graph_sub.add_parser("autos", parents=[common])
-    autos.add_argument("source", help="catalog name or graph file")
-    autos.set_defaults(handler=_cmd_graph_autos)
-    balls = graph_sub.add_parser("balls", parents=[common])
-    balls.add_argument("source")
-    balls.add_argument("--x", type=int, default=0)
-    balls.add_argument("--y", type=int, default=None)
-    balls.add_argument("--radius", type=int, default=3)
-    balls.set_defaults(handler=_cmd_graph_balls)
-    coset = graph_sub.add_parser("coset", parents=[common])
-    coset.add_argument("source")
-    coset.add_argument("--edge", help="edge as x,y (default: first edge)")
-    coset.set_defaults(handler=_cmd_graph_coset)
-    catalog = graph_sub.add_parser("catalog", parents=[common])
-    catalog.set_defaults(handler=_cmd_graph_catalog)
-
-    amalgam = top.add_parser("amalgam", help="vertex-edge stabilizer amalgams")
-    amalgam_sub = amalgam.add_subparsers(dest="subcommand", required=True)
-    for name, handler in (
-        ("extract", _cmd_amalgam_extract),
-        ("faithful", _cmd_amalgam_faithful),
-        ("cores", _cmd_amalgam_cores),
-    ):
-        sub = amalgam_sub.add_parser(name, parents=[common])
-        sub.add_argument("source")
-        sub.add_argument("--edge", help="edge as x,y (default: first edge)")
-        if name == "cores":
-            sub.add_argument("--depth", type=int, default=3)
-        sub.set_defaults(handler=handler)
-
-    construct = top.add_parser("construct", help="product amalgam construction")
-    construct_sub = construct.add_subparsers(dest="subcommand", required=True)
-    section4 = construct_sub.add_parser("section4", parents=[common])
-    section4.add_argument(
-        "--h", default="tutte-coxeter", help="catalog source of the input amalgam"
-    )
-    section4.add_argument("--depth", type=int, default=3)
-    section4.set_defaults(handler=_cmd_construct_section4)
-
-    def instance_flags(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--n", type=int, required=True)
-        sub.add_argument("--construct", help="catalog H-amalgam for the construction")
-        sub.add_argument("--graph", help="path to a graph file")
-        sub.add_argument("--group", help="path to a group file")
-        sub.add_argument("--edge", help="edge as x,y (graph route only)")
-
-    verify = top.add_parser("verify", help="main theorem instance checks")
-    verify_sub = verify.add_subparsers(dest="subcommand", required=True)
-    theorem = verify_sub.add_parser("theorem", parents=[common])
-    instance_flags(theorem)
-    theorem.set_defaults(handler=_cmd_verify_theorem)
-
-    trace = top.add_parser("trace", help="proof-trace claim checks")
-    trace_sub = trace.add_subparsers(dest="subcommand", required=True)
-    claims = trace_sub.add_parser("claims", parents=[common])
-    instance_flags(claims)
-    claims.set_defaults(handler=_cmd_trace_claims)
-
-    check = top.add_parser("check", help="basic lemma consistency checks")
-    check_sub = check.add_subparsers(dest="subcommand", required=True)
-    haupt = check_sub.add_parser("hauptlemma", parents=[common])
-    instance_flags(haupt)
-    haupt.add_argument(
-        "--k",
-        choices=("trivial", "first-edge-kernel", "sylow-product"),
-        default="first-edge-kernel",
-    )
-    haupt.set_defaults(handler=_cmd_check_hauptlemma)
-
+    only = argv[0] if argv and argv[0] in _GROUPS else None
+    for name, (help_text, add_leaves) in _GROUPS.items():
+        group = top.add_parser(name, help=help_text)
+        if only in (None, name):
+            add_leaves(group.add_subparsers(dest="subcommand", required=True), common)
     return parser
 
 
 def cli_dispatch(argv: list[str] | None = None) -> int:
     """Run one command; returns the exit code without exiting."""
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -9,6 +9,11 @@ positive integer:
 
     AMALGAMLAB_GUARD_ELEMENTS   elements per walk, nodes per backtrack  (default 200000)
     AMALGAMLAB_GUARD_DEGREE     coset-action and group-file degree      (default 100000)
+
+``Guards`` is the package's one dataclass; every other record class is a
+plain ``__slots__`` class, because a dataclass compiles its generated methods
+with ``exec`` on every start-up.  It stays one because the benchmark launcher
+records the guard values with ``dataclasses.asdict``.
 """
 import os
 from dataclasses import dataclass

@@ -10,7 +10,6 @@ permutation group on the neighbor sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .config import guards
@@ -49,15 +48,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Graph:
     """A finite simple connected graph as sorted adjacency tuples."""
 
-    adjacency: tuple[tuple[int, ...], ...]
+    __slots__ = ("adjacency",)
 
-    def __post_init__(self) -> None:
-        n = len(self.adjacency)
-        for v, row in enumerate(self.adjacency):
+    def __init__(self, adjacency: tuple[tuple[int, ...], ...]) -> None:
+        n = len(adjacency)
+        for v, row in enumerate(adjacency):
             if tuple(sorted(set(row))) != row:
                 raise GraphError(f"adjacency of vertex {v} not sorted/unique")
             for w in row:
@@ -65,19 +63,20 @@ class Graph:
                     raise GraphError(f"loop at vertex {v}")
                 if not 0 <= w < n:
                     raise GraphError(f"vertex {w} out of range")
-                if v not in self.adjacency[w]:
+                if v not in adjacency[w]:
                     raise GraphError(f"edge {v}-{w} not symmetric")
         if n:
             seen = {0}
             queue = [0]
             while queue:
                 v = queue.pop()
-                for w in self.adjacency[v]:
+                for w in adjacency[v]:
                     if w not in seen:
                         seen.add(w)
                         queue.append(w)
             if len(seen) != n:
                 raise GraphError("graph is not connected")
+        self.adjacency = adjacency
 
     @property
     def vertex_count(self) -> int:
@@ -318,13 +317,17 @@ def graph_automorphisms(graph: Graph) -> PermGroup:
 # -- instances --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class PairInstance:
     """A graph together with an adjacency-preserving group on its vertices."""
 
-    graph: Graph
-    group: PermGroup
-    vertex_transitive: bool
+    __slots__ = ("graph", "group", "vertex_transitive")
+
+    def __init__(
+        self, graph: Graph, group: PermGroup, vertex_transitive: bool
+    ) -> None:
+        self.graph = graph
+        self.group = group
+        self.vertex_transitive = vertex_transitive
 
 
 def pair_instance(graph: Graph, group: PermGroup) -> PairInstance:

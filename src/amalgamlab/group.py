@@ -16,11 +16,10 @@ labelings and enumeration orders.  All arithmetic is exact.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cached_property
 from itertools import compress
 from operator import itemgetter, ne
-from typing import Callable, Iterable, Iterator, Sequence
 
 from . import kernels
 from .config import Guards, guards
@@ -34,9 +33,7 @@ from .perm import Permutation
 __all__ = [
     "PermGroup",
     "ActionHom",
-    "SubgroupRelation",
     "generate_group",
-    "subgroup_relations",
     "intersection",
     "commutator_subgroup",
     "symmetric_group",
@@ -958,28 +955,10 @@ def _level_group(chain: _Chain, cut: int, degree: int) -> PermGroup:
     )._bounded(bound)
 
 
-@dataclass(frozen=True)
-class SubgroupRelation:
-    is_subgroup: bool
-    equal: bool
-    index: int | None
-
-
 def generate_group(
     generators: Iterable[Permutation], degree: int | None = None
 ) -> PermGroup:
     return PermGroup(generators, degree=degree)
-
-
-def subgroup_relations(a: PermGroup, b: PermGroup) -> SubgroupRelation:
-    """How a sits inside b: containment, equality and index |b : a|."""
-    if a.degree != b.degree:
-        raise DegreeMismatchError(f"degree {a.degree} vs degree {b.degree}")
-    is_sub = a.is_subgroup_of(b)
-    if not is_sub:
-        return SubgroupRelation(False, False, None)
-    index = b.order() // a.order()
-    return SubgroupRelation(True, index == 1, index)
 
 
 def intersection(a: PermGroup, b: PermGroup) -> PermGroup:

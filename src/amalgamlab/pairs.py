@@ -19,7 +19,6 @@ is the full alternating or symmetric image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 
 from .config import guards
@@ -35,12 +34,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class OrderedPairsAction:
     """Sym(n) acting on the n(n-1) ordered pairs of distinct points."""
 
-    n: int
-    group: PermGroup
+    __slots__ = ("n", "group")
+
+    def __init__(self, n: int, group: PermGroup) -> None:
+        self.n = n
+        self.group = group
 
     @property
     def degree(self) -> int:

@@ -16,7 +16,7 @@ one permutation per line, blank lines and "#" comments ignored.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from . import kernels
 from .config import guards

@@ -14,23 +14,26 @@ so reports can be diffed across runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 __all__ = ["Check", "Report", "STATUSES"]
 
 STATUSES = ("pass", "violated", "vacuous", "skipped")
 
 
-@dataclass
 class Check:
-    name: str
-    status: str
-    paper_anchor: str
-    details: dict
+    """One named check: its status, anchor and witnessing details."""
 
-    def __post_init__(self) -> None:
-        if self.status not in STATUSES:
-            raise ValueError(f"unknown check status {self.status!r}")
+    __slots__ = ("name", "status", "paper_anchor", "details")
+
+    def __init__(
+        self, name: str, status: str, paper_anchor: str, details: dict
+    ) -> None:
+        if status not in STATUSES:
+            raise ValueError(f"unknown check status {status!r}")
+        self.name = name
+        self.status = status
+        self.paper_anchor = paper_anchor
+        self.details = details
 
     def to_dict(self) -> dict:
         return {
@@ -41,11 +44,15 @@ class Check:
         }
 
 
-@dataclass
 class Report:
-    command: str
-    inputs: dict
-    checks: list[Check] = field(default_factory=list)
+    """A command name, a record of its inputs, and its checks in order."""
+
+    __slots__ = ("command", "inputs", "checks")
+
+    def __init__(self, command: str, inputs: dict) -> None:
+        self.command = command
+        self.inputs = inputs
+        self.checks: list[Check] = []
 
     def add(
         self, name: str, status: str, anchor: str, details: dict | None = None

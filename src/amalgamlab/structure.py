@@ -31,10 +31,9 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator, Sequence
 from math import factorial
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence
 
 from . import kernels
 from .config import guards
@@ -113,13 +112,15 @@ def p_prime_part(g: Permutation, p: int) -> Permutation:
 # -- p-group witnesses ------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class PGroupWitness:
     """Carries a group together with a checked is-a-p-group flag."""
 
-    group: PermGroup
-    prime: int
-    certificate: bool
+    __slots__ = ("group", "prime", "certificate")
+
+    def __init__(self, group: PermGroup, prime: int, certificate: bool) -> None:
+        self.group = group
+        self.prime = prime
+        self.certificate = certificate
 
 
 def p_group_witness(group: PermGroup, p: int) -> PGroupWitness:
@@ -276,12 +277,14 @@ def _frattini_step(x: PermGroup, p: int) -> PermGroup:
 # -- conjugacy classes and the normal-subgroup lattice ----------------------
 
 
-@dataclass(frozen=True)
 class ConjugacyClass:
     """A conjugacy class, named by its first element in enumeration order."""
 
-    representative: Permutation
-    size: int
+    __slots__ = ("representative", "size")
+
+    def __init__(self, representative: Permutation, size: int) -> None:
+        self.representative = representative
+        self.size = size
 
 
 class _Image:

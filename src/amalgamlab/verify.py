@@ -24,8 +24,6 @@ alone builds the identification of G_xy across the two sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import kernels
 from .actions import induced_action, permutation_isomorphism
 from .amalgams import Amalgam, amalgam_from_pair, core_sequence
@@ -84,7 +82,6 @@ def theorem_radius(n: int) -> int:
     return 2
 
 
-@dataclass(frozen=True)
 class EdgeContext:
     """One edge of an instance, reduced to the data the verifiers use.
 
@@ -97,12 +94,30 @@ class EdgeContext:
     vertex, ``edge_cores[i]`` the union of the balls around both endpoints.
     """
 
-    route: str
-    amalgam: Amalgam
-    neighbor_hom: ActionHom
-    base_neighbor: int
-    vertex_cores: tuple[PermGroup, ...]
-    edge_cores: tuple[PermGroup, ...]
+    __slots__ = (
+        "route",
+        "amalgam",
+        "neighbor_hom",
+        "base_neighbor",
+        "vertex_cores",
+        "edge_cores",
+    )
+
+    def __init__(
+        self,
+        route: str,
+        amalgam: Amalgam,
+        neighbor_hom: ActionHom,
+        base_neighbor: int,
+        vertex_cores: tuple[PermGroup, ...],
+        edge_cores: tuple[PermGroup, ...],
+    ) -> None:
+        self.route = route
+        self.amalgam = amalgam
+        self.neighbor_hom = neighbor_hom
+        self.base_neighbor = base_neighbor
+        self.vertex_cores = vertex_cores
+        self.edge_cores = edge_cores
 
     @property
     def valency(self) -> int:
@@ -180,7 +195,6 @@ def edge_context(
     )
 
 
-@dataclass(frozen=True)
 class LocalReference:
     """Certificate that the local action is the ordered-pairs group.
 
@@ -190,9 +204,17 @@ class LocalReference:
     neighbor, whose two coordinates seed the point-stabilizer towers.
     """
 
-    pairs: OrderedPairsAction
-    witness: tuple[int, ...]
-    base_pair: tuple[int, int]
+    __slots__ = ("pairs", "witness", "base_pair")
+
+    def __init__(
+        self,
+        pairs: OrderedPairsAction,
+        witness: tuple[int, ...],
+        base_pair: tuple[int, int],
+    ) -> None:
+        self.pairs = pairs
+        self.witness = witness
+        self.base_pair = base_pair
 
 
 def certify_local(ctx: EdgeContext, n: int) -> LocalReference | None:

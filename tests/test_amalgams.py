@@ -111,7 +111,7 @@ def test_amalgam_validation():
     am = identity_amalgam(s4, a4, v4)
     assert am.index_a == 6 and am.index_b == 3
     assert not am.is_vertex_edge()
-    with pytest.raises(AmalgamError):
+    with pytest.raises(AmalgamError, match="C is not a subgroup of A"):
         identity_amalgam(v4, a4, s4)  # shared not inside either side
 
 

@@ -93,6 +93,18 @@ def test_graph_from_edges_validation():
         graph_from_edges(2, [(0, 1), (1, 0)])
 
 
+def test_graph_rejects_malformed_adjacency():
+    for adjacency, message in (
+        (((1, 1), (0,)), "not sorted/unique"),
+        (((0,),), "loop at vertex 0"),
+        (((2,), (0,)), "vertex 2 out of range"),
+        (((1,), ()), "edge 0-1 not symmetric"),
+        (((1,), (0,), ()), "not connected"),
+    ):
+        with pytest.raises(GraphError, match=message):
+            Graph(adjacency)
+
+
 def random_connected_graph(rng, n):
     """Random spanning tree plus extra edges, so the graph is connected."""
     edges = set()

@@ -22,7 +22,6 @@ from amalgamlab.group import (
     direct_sum_gens,
     generate_group,
     intersection,
-    subgroup_relations,
     symmetric_group,
     trivial_group,
 )
@@ -457,17 +456,6 @@ def test_predicates_on_knowns():
     assert alternating_group(4).is_normal_in(s4)
     assert not generate_group([perm("(0 1)", 4)]).is_normal_in(s4)
     assert trivial_group(3).is_trivial()
-
-
-def test_subgroup_relations():
-    s4 = symmetric_group(4)
-    a4 = alternating_group(4)
-    rel = subgroup_relations(a4, s4)
-    assert rel.is_subgroup and not rel.equal and rel.index == 2
-    rel = subgroup_relations(s4, s4)
-    assert rel.equal and rel.index == 1
-    rel = subgroup_relations(generate_group([perm("(0 1)", 4)]), a4)
-    assert not rel.is_subgroup and rel.index is None
 
 
 def test_direct_sum_generators():

@@ -1,6 +1,9 @@
 """Theorem verifiers, proof trace, hypothesis checks and the CLI contract."""
 
+import argparse
+import contextlib
 import fcntl
+import io
 import json
 import math
 import os
@@ -11,14 +14,16 @@ from pathlib import Path
 
 import pytest
 
+import amalgamlab
 from amalgamlab.actions import classify_action
 from amalgamlab.amalgams import amalgam_from_pair, inflate_amalgam
-from amalgamlab.cli import cli_dispatch
+from amalgamlab.cli import build_parser, cli_dispatch
 from amalgamlab.errors import WitnessError
 from amalgamlab.graphs import catalog_graph, coset_graph, format_graph, pair_instance
 from amalgamlab.group import PermGroup, generate_group, symmetric_group, trivial_group
 from amalgamlab.pairs import build_ordered_pairs
 from amalgamlab.perm import format_group_file, parse_permutation
+from amalgamlab.report import Check
 from amalgamlab.structure import o_p
 from amalgamlab.verify import (
     _CLAIM_NAMES,
@@ -679,6 +684,82 @@ def test_cli_command_loads_only_the_modules_it_runs(tmp_path, argv, runs, skips)
     assert code == "0"
     assert {"cli", runs} <= loaded
     assert not loaded & skips
+
+
+def test_package_never_imports_typing():
+    """Annotations are strings and abstract types come from collections.abc,
+    so no module loads `typing`.  `-S` keeps `site` from loading it first."""
+    src = Path(amalgamlab.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, amalgamlab.verify, amalgamlab.cli; "
+         "print('typing' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.stdout.split() == ["False"], proc.stderr
+
+
+_DATACLASSES = """
+import dataclasses, sys
+import amalgamlab.verify, amalgamlab.cli
+print(*sorted(
+    f"{name}.{value.__qualname__}"
+    for name, module in list(sys.modules.items())
+    if name.startswith("amalgamlab")
+    for value in vars(module).values()
+    if isinstance(value, type) and value.__module__ == name
+    and dataclasses.is_dataclass(value)
+))
+"""
+
+
+def test_only_guards_is_a_dataclass():
+    """Record classes are plain `__slots__` classes: a dataclass compiles its
+    methods with `exec` on every start-up.  `Guards` stays one, because the
+    benchmark launcher reads it with `dataclasses.asdict`."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _DATACLASSES],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.stdout.split() == ["amalgamlab.config.Guards"], proc.stderr
+
+
+def test_check_rejects_an_unknown_status():
+    with pytest.raises(ValueError, match="unknown check status 'passed'"):
+        Check("name", "passed", "anchor", {})
+
+
+def _subcommands(parser):
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def _parse_exit(parser, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+def test_one_group_parser_matches_the_full_parser():
+    """A parser built for one command group prints the same help and the
+    same usage errors as the parser with every group built."""
+    full = build_parser()
+    argvs = [["--help"]]
+    for group, group_parser in _subcommands(full).items():
+        argvs += [[group], [group, "--help"], [group, "nosuch"]]
+        for leaf in _subcommands(group_parser):
+            argvs += [[group, leaf, "--help"], [group, leaf, "--frobnicate"]]
+    for argv in argvs:
+        expected = _parse_exit(full, argv)
+        assert expected[0] in (0, 2), argv
+        assert _parse_exit(build_parser(argv), argv) == expected, argv
 
 
 def test_cli_unknown_subcommand_is_exit_2(capsys):
