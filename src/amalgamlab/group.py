@@ -48,10 +48,10 @@ __all__ = [
 class _Level:
     __slots__ = ("base", "gens", "gen_set", "orbit", "transversal", "inverse")
 
-    def __init__(self, base: int) -> None:
+    def __init__(self, base: int, gens: list[tuple]) -> None:
         self.base = base
-        self.gens: list[tuple] = []
-        self.gen_set: set[tuple] = set()
+        self.gens = gens
+        self.gen_set = set(gens)
         self.orbit: list[int] = [base]
         self.transversal: dict[int, tuple] = {}
         self.inverse: dict[int, tuple] = {}
@@ -69,18 +69,25 @@ class _Chain:
 
     Each level keeps the generators of its stabilizer subgroup; the lists
     are nested, a strong generator found at one level is appended to every
-    level it belongs to.  Orbits only ever extend, never rebuild, so coset
+    level it belongs to.  The chain grows in one way only: levels are
+    inserted and orbits extended, never deleted or rebuilt, so coset
     representatives stay stable while the chain grows.  Each level also
     caches the inverse of every transversal element, computed once when
     the orbit reaches its point, so `sift`, `_process` and `force` never
     invert a coset representative again.
 
     `rank` orders the points used for base selection; None means natural
-    order.  Bases are always the lowest-ranked moved point of their level
-    group (enforced by re-basing when a later generator moves a lower
-    point), so with a custom rank the subgroup fixing the first k ranked
-    points is exactly the level group reached after consuming them, which
-    is how pointwise stabilizers are extracted.
+    order.  Each base is the lowest-ranked point that its level's
+    generators move, so with a custom rank the subgroup fixing the first k
+    ranked points is exactly the level group reached after consuming them,
+    which is how pointwise stabilizers are extracted.  A strong generator
+    that moves a point ranked below the base of level k keeps this true by
+    inserting a level there (see `_place`): level k's generators fix every
+    point ranked below their base, so that point is the lowest-ranked one
+    moved by them and the new generator together, and becomes the new
+    level's base.  The levels from k on fix it, so they stay a chain of a
+    subgroup of its stabilizer in the new level's group, and `_process`
+    completes the new level on top of them.
 
     `bound`, when given, must be a proven upper bound on the order of the
     generated group G; the Schreier-Sims scan stops once the product of
@@ -128,10 +135,7 @@ class _Chain:
                 seen.add(img)
                 seeds.append(img)
         if seeds:
-            lvl = _Level(self._lowest_moved(seeds))
-            lvl.gens = list(seeds)
-            lvl.gen_set = set(seeds)
-            self.levels.append(lvl)
+            self.levels.append(_Level(self._lowest_moved(seeds), seeds))
             self._extend_orbit(0)
         self.complete = self.order() == bound
         if self.levels:
@@ -160,7 +164,6 @@ class _Chain:
         if not lvl.transversal:
             lvl.transversal[lvl.base] = self._identity
             lvl.inverse[lvl.base] = self._identity
-            lvl.orbit = [lvl.base]
         head = 0
         while head < len(lvl.orbit):
             point = lvl.orbit[head]
@@ -197,29 +200,20 @@ class _Chain:
     def _place(self, img: tuple, lo: int, j: int) -> int:
         """Record a strong generator spanning levels lo..j.
 
-        Returns the deepest level whose generator list changed.  When the
-        generator moves a point ranked below an existing base, the chain
-        tail from that level on is collapsed and re-based.
+        Returns the deepest level whose generator list changed.  The
+        generator joins every level from lo on until it reaches the end of
+        the chain or a level whose base ranks above the lowest point it
+        moves.  There a level based at that point is inserted, generated by
+        the generators of the level below it (if any) and the new one;
+        inserting at the end appends.
         """
         moved = self._min_moved(img)
         m_rank = self._point_rank(moved)
         for k in range(lo, j + 1):
-            if k == len(self.levels):
-                lvl = _Level(moved)
-                lvl.gens = [img]
-                lvl.gen_set = {img}
-                self.levels.append(lvl)
-                self._extend_orbit(k)
-                self._check_order()
-                return k
-            lvl = self.levels[k]
-            if m_rank < self._point_rank(lvl.base):
-                gens = lvl.gens + [img]
-                del self.levels[k:]
-                fresh = _Level(self._lowest_moved(gens))
-                fresh.gens = gens
-                fresh.gen_set = set(gens)
-                self.levels.append(fresh)
+            lvl = self.levels[k] if k < len(self.levels) else None
+            if lvl is None or m_rank < self._point_rank(lvl.base):
+                gens = [img] if lvl is None else lvl.gens + [img]
+                self.levels.insert(k, _Level(moved, gens))
                 self._extend_orbit(k)
                 self._check_order()
                 return k

@@ -4,7 +4,9 @@ The oracles in this file are deliberately naive: breadth-first closures
 over raw image tuples and exhaustive backtracking searches.  They share no
 code with the package internals (no stabilizer chains, no partition
 refinement), so agreement between the two is meaningful evidence of
-correctness rather than a tautology.
+correctness rather than a tautology.  The one exception is
+`CollapsingChain`, a stabilizer chain that grows by an older, simpler rule
+and serves as the reference state for `_Chain` builds.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import pytest
 
 from amalgamlab.group import (
     PermGroup,
+    _Chain,
+    _Level,
     alternating_group,
     cyclic_group,
     dihedral_group,
@@ -189,6 +193,43 @@ def oracle_lowest_moved(gens, rank) -> int:
     rank (None ranks the points in their natural order)."""
     key = None if rank is None else rank.__getitem__
     return min((x for g in gens for x in Permutation(g).moved_points()), key=key)
+
+
+class CollapsingChain(_Chain):
+    """Reference Schreier-Sims that grows by collapse and rebuild.
+
+    Unlike the oracles above it is a stabilizer chain, and differs from
+    `_Chain` only in `_place`: when a strong generator moves a point ranked
+    below the base of level k, it deletes levels k.. and starts a fresh
+    level from level k's generators plus the new one, based at the
+    lowest-ranked point any of them moves, for `_process` to rebuild the
+    tail from scratch.  `_Chain` inserts one level there instead and keeps
+    the tail; the two must end in the same state.
+    """
+
+    def _place(self, img: tuple, lo: int, j: int) -> int:
+        moved = self._min_moved(img)
+        m_rank = self._point_rank(moved)
+        for k in range(lo, j + 1):
+            if k == len(self.levels):
+                self.levels.append(_Level(moved, [img]))
+                self._extend_orbit(k)
+                self._check_order()
+                return k
+            lvl = self.levels[k]
+            if m_rank < self._point_rank(lvl.base):
+                gens = lvl.gens + [img]
+                del self.levels[k:]
+                self.levels.append(_Level(self._lowest_moved(gens), gens))
+                self._extend_orbit(k)
+                self._check_order()
+                return k
+            if img not in lvl.gen_set:
+                lvl.gens.append(img)
+                lvl.gen_set.add(img)
+                self._extend_orbit(k)
+        self._check_order()
+        return j
 
 
 def scan_conjugacy_classes(group: PermGroup) -> list[tuple[tuple, int]]:

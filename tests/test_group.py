@@ -25,9 +25,11 @@ from amalgamlab.group import (
     symmetric_group,
     trivial_group,
 )
+from amalgamlab.pairs import verify_approximation
 from amalgamlab.perm import Permutation
 
 from conftest import (
+    CollapsingChain,
     assert_same_group,
     compose_images,
     element_set,
@@ -609,6 +611,78 @@ def test_chain_bases_are_the_lowest_ranked_moved_points():
     for chain, rank in cases:
         for lvl in chain.levels:
             assert lvl.base == oracle_lowest_moved(lvl.gens, rank)
+
+
+def _watch_levels(monkeypatch):
+    """Wrap `_Chain._place`: each call records (levels before, levels
+    after, level returned)."""
+    calls = []
+    place = _Chain._place
+
+    def watched(self, img, lo, j):
+        before = len(self.levels)
+        k = place(self, img, lo, j)
+        calls.append((before, len(self.levels), k))
+        return k
+
+    monkeypatch.setattr(_Chain, "_place", watched)
+    return calls
+
+
+def _random_rank(rng, degree):
+    rank = list(range(degree))
+    rng.shuffle(rank)
+    return rank
+
+
+def test_inserted_levels_build_the_collapsing_chain(monkeypatch):
+    """A chain that inserts a level where a strong generator moves a point
+    ranked below an existing base ends in the same state as the reference
+    that collapses the tail there and rebuilds it: base, generator lists,
+    orbit order, transversals and inverses.  Checked on seeded random
+    groups in natural and shuffled ranking, unbounded and bounded by their
+    order, and on `_prefix_chain` chains of random groups."""
+    import amalgamlab.group as group_module
+
+    calls = _watch_levels(monkeypatch)
+    rng = random.Random(2029)
+    for _ in range(300):
+        degree, gens = _random_generators(rng)
+        rank = _random_rank(rng, degree) if rng.random() < 0.5 else None
+        chain = _Chain(degree, gens, rank=rank)
+        assert _chain_state(chain) == _chain_state(CollapsingChain(degree, gens, rank=rank))
+        bound = chain.order()
+        bounded = _Chain(degree, gens, rank=rank, bound=bound)
+        reference = CollapsingChain(degree, gens, rank=rank, bound=bound)
+        assert bounded.complete and reference.complete
+        assert _chain_state(bounded) == _chain_state(reference)
+    for _ in range(60):
+        g = random_group(rng)
+        prefix = rng.sample(range(g.degree), rng.randrange(1, g.degree + 1))
+        chain, cut = g._prefix_chain(prefix)
+        with monkeypatch.context() as patch:
+            patch.setattr(group_module, "_Chain", CollapsingChain)
+            reference, reference_cut = g._prefix_chain(prefix)
+        assert type(reference) is CollapsingChain
+        assert cut == reference_cut
+        assert _chain_state(chain) == _chain_state(reference)
+    # Some builds inserted a level above the last one, where the
+    # reference collapses a tail.
+    assert any(k < before for before, after, k in calls if after > before)
+
+
+def test_chain_builds_never_drop_a_level(monkeypatch):
+    """Placing a strong generator never shortens the chain: on seeded
+    random chains and on every chain the lemma check for n = 8 builds."""
+    calls = _watch_levels(monkeypatch)
+    rng = random.Random(2030)
+    for _ in range(200):
+        degree, gens = _random_generators(rng)
+        _Chain(degree, gens, rank=_random_rank(rng, degree))
+        _Chain(degree, gens)
+    assert verify_approximation(8).overall == "pass"
+    assert len(calls) > 1000
+    assert all(after >= before for before, after, _ in calls)
 
 
 def test_order_guard_trips_on_huge_groups():
