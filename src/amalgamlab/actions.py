@@ -30,7 +30,6 @@ __all__ = [
     "classify_action",
     "induced_action",
     "is_primitive",
-    "is_semiregular_on",
     "permutation_isomorphism",
 ]
 
@@ -63,10 +62,7 @@ class ActionProfile:
 
 def action_profile(group: PermGroup) -> ActionProfile:
     orbits = tuple(tuple(o) for o in group.orbits())
-    order = group.order()
-    # Orbit-stabilizer: a point stabilizer is trivial exactly when the
-    # point's orbit has full size |G|.
-    semiregular = all(len(o) == order for o in orbits)
+    semiregular = group.is_semiregular()
     transitive = len(orbits) == 1
     return ActionProfile(
         transitive=transitive,
@@ -74,11 +70,6 @@ def action_profile(group: PermGroup) -> ActionProfile:
         regular=transitive and semiregular,
         orbits=orbits,
     )
-
-
-def is_semiregular_on(group: PermGroup, points: tuple[int, ...]) -> bool:
-    """True when no non-identity element fixes a point of the given set."""
-    return all(group.stabilizer(x).is_trivial() for x in points)
 
 
 # -- block systems ----------------------------------------------------------

@@ -34,8 +34,6 @@ __all__ = [
     "complete_bipartite_graph",
     "complete_graph",
     "coset_graph",
-    "cycle_graph",
-    "format_graph",
     "graph_automorphisms",
     "graph_from_edges",
     "is_locally",
@@ -107,10 +105,6 @@ class Graph:
             raise GraphError("the graph has no edge")
         return edges[0]
 
-    @property
-    def edge_count(self) -> int:
-        return sum(len(row) for row in self.adjacency) // 2
-
     def distances(self, x: int) -> list[int]:
         dist = [-1] * self.vertex_count
         dist[x] = 0
@@ -178,12 +172,6 @@ def parse_graph(text: str) -> Graph:
     return graph_from_edges(n, edges)
 
 
-def format_graph(graph: Graph) -> str:
-    lines = [f"{graph.vertex_count} {graph.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in graph.edges())
-    return "\n".join(lines) + "\n"
-
-
 # -- constructions ----------------------------------------------------------
 
 
@@ -197,12 +185,6 @@ def complete_bipartite_graph(a: int, b: int) -> Graph:
     return graph_from_edges(
         a + b, [(u, a + v) for u in range(a) for v in range(b)]
     )
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise GraphError("cycles need at least 3 vertices")
-    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def lcf_graph(shifts: list[int], repeats: int) -> Graph:

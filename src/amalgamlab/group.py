@@ -7,8 +7,9 @@ chain built by a Schreier-Sims procedure that is deterministic end to end:
   * base points are chosen in increasing point order restricted to moved
     points (a custom point ranking supports pointwise stabilizers),
   * orbits and transversals are breadth-first in generator order,
-  * Schreier generators are processed in a fixed scan order and the scan
-    restarts from the top whenever a new strong generator is placed.
+  * Schreier generators are processed in a fixed scan order; when one
+    places a new strong generator, the deeper levels it changed are
+    completed first, then the scan resumes where it stopped.
 
 Identical inputs therefore always produce identical chains, orders, orbit
 labelings and enumeration orders.  All arithmetic is exact.
@@ -41,7 +42,6 @@ __all__ = [
     "cyclic_group",
     "dihedral_group",
     "trivial_group",
-    "direct_sum_gens",
 ]
 
 
@@ -427,9 +427,6 @@ class PermGroup:
     def basic_orbits(self) -> list[list[int]]:
         return self.chain().basic_orbits()
 
-    def strong_generators(self) -> list[Permutation]:
-        return [Permutation._raw(img) for img in self.chain().effective_gens(0)]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PermGroup):
             return NotImplemented
@@ -475,35 +472,14 @@ class PermGroup:
         img = transversal.get(target)
         return Permutation._raw(img) if img is not None else None
 
-    def element_with_images(self, mapping: dict) -> Permutation | None:
-        """A deterministic element sending every key to its value, or None.
-
-        Forced walk (``_Chain.force``) down a stabilizer chain whose base
-        starts with the prescribed points.
-        """
-        if not mapping:
-            return Permutation.identity(self._degree)
-        for p, q in mapping.items():
-            self._check_point(p)
-            self._check_point(q)
-        img = self._prefix_chain(sorted(mapping))[0].force(mapping)
-        return Permutation._raw(img) if img is not None else None
-
     def is_transitive(self) -> bool:
         return self._degree > 0 and len(self.orbit(0)) == self._degree
 
     def is_semiregular(self) -> bool:
-        """Only the identity fixes a point."""
-        return all(
-            self.stabilizer(orb[0]).is_trivial() for orb in self.orbits()
-        )
-
-    def is_regular(self) -> bool:
-        return self.is_transitive() and self.is_semiregular()
-
-    def fixed_points(self) -> list[int]:
-        gens = self.gen_images()
-        return [x for x in range(self._degree) if all(g[x] == x for g in gens)]
+        """Only the identity fixes a point.  By orbit-stabilizer, a point
+        stabilizer is trivial exactly when the point's orbit has length |G|."""
+        order = self.order()
+        return all(len(orb) == order for orb in self.orbits())
 
     # -- stabilizers ----------------------------------------------------
 
@@ -546,9 +522,6 @@ class PermGroup:
 
     def stabilizer(self, point: int) -> "PermGroup":
         return self.pointwise_stabilizer([point])
-
-    def orbit_and_stabilizer(self, point: int) -> tuple[list[int], "PermGroup"]:
-        return self.orbit(point), self.stabilizer(point)
 
     def setwise_stabilizer(self, points: Sequence[int]) -> "PermGroup":
         target = set(points)
@@ -1046,21 +1019,3 @@ def dihedral_group(n: int) -> PermGroup:
     rot = Permutation.from_cycles(n, [tuple(range(n))])
     ref = Permutation([(n - x) % n for x in range(n)])
     return PermGroup([rot, ref], degree=n)
-
-
-def direct_sum_gens(
-    left_degree: int, right_degree: int, left: Iterable[Permutation], right: Iterable[Permutation]
-) -> list[Permutation]:
-    """Generators of the direct product acting on the disjoint union."""
-    ident_l = tuple(range(left_degree))
-    ident_r = tuple(range(right_degree))
-    out = []
-    for g in left:
-        out.append(
-            Permutation._raw(g.images + tuple(left_degree + x for x in ident_r))
-        )
-    for h in right:
-        out.append(
-            Permutation._raw(ident_l + tuple(left_degree + x for x in h.images))
-        )
-    return out

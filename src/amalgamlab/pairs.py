@@ -58,10 +58,6 @@ class OrderedPairsAction:
         a, r = divmod(index, self.n - 1)
         return (a, r if r < a else r + 1)
 
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(self.index_pair(i) for i in range(self.degree))
-
     def embed(self, g: Permutation) -> Permutation:
         """Image of a degree-n permutation in the pair action."""
         if g.degree != self.n:

@@ -96,12 +96,6 @@ class Permutation:
     def __pow__(self, n: int) -> "Permutation":
         return Permutation._raw(kernels.power(self._images, n))
 
-    def conjugate_by(self, g: "Permutation") -> "Permutation":
-        """g^-1 * self * g."""
-        if g.degree != self.degree:
-            raise DegreeMismatchError(f"degree {self.degree} ^ degree {g.degree}")
-        return Permutation._raw(kernels.conjugate(self._images, g._images))
-
     def order(self) -> int:
         return kernels.perm_order(self._images)
 
@@ -111,7 +105,7 @@ class Permutation:
     def moved_points(self) -> list[int]:
         return [i for i, x in enumerate(self._images) if i != x]
 
-    def cycles(self, include_fixed: bool = False) -> list[tuple]:
+    def cycles(self) -> list[tuple]:
         """Disjoint cycles, each rotated to start at its least point and
         listed in increasing order of that point."""
         out = []
@@ -126,7 +120,7 @@ class Permutation:
                 cycle.append(x)
                 seen[x] = True
                 x = self._images[x]
-            if len(cycle) > 1 or include_fixed:
+            if len(cycle) > 1:
                 out.append(tuple(cycle))
         return out
 
@@ -135,9 +129,6 @@ class Permutation:
         if not cycles:
             return "()"
         return "".join("(" + " ".join(str(x) for x in c) + ")" for c in cycles)
-
-    def image_csv(self) -> str:
-        return ",".join(str(x) for x in self._images)
 
     def __repr__(self) -> str:
         return f"Permutation({self!s}, degree={self.degree})"
@@ -219,6 +210,8 @@ def parse_group_file(text: str) -> tuple[int, list[Permutation]]:
             if not m:
                 raise FormatError(f"line {lineno}: expected 'degree N' header")
             degree = int(m.group(1))
+            if degree < 1:
+                raise FormatError(f"line {lineno}: degree must be at least 1")
             if degree > guards().degree:
                 raise GuardExceededError("degree", guards().degree, degree)
             continue

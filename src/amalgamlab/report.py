@@ -84,8 +84,8 @@ class Report:
             "overall": self.overall,
         }
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
     def human(self) -> str:
         width = max((len(c.name) for c in self.checks), default=0)

@@ -43,7 +43,6 @@ from .perm import Permutation
 
 __all__ = [
     "ConjugacyClass",
-    "PGroupWitness",
     "conjugacy_classes",
     "frattini_p",
     "is_prime",
@@ -52,9 +51,7 @@ __all__ = [
     "o_p",
     "o_upper_p",
     "omega1_center",
-    "p_group_witness",
     "p_part",
-    "p_prime_part",
     "p_valuation",
     "sylow",
     "thompson_subgroup",
@@ -104,34 +101,10 @@ def p_part(g: Permutation, p: int) -> Permutation:
     return g ** (r * pow(r, -1, p**a))
 
 
-def p_prime_part(g: Permutation, p: int) -> Permutation:
-    """The power of g whose order is g's order with all factors p removed."""
-    return g * p_part(g, p).inverse()
-
-
-# -- p-group witnesses ------------------------------------------------------
-
-
-class PGroupWitness:
-    """Carries a group together with a checked is-a-p-group flag."""
-
-    __slots__ = ("group", "prime", "certificate")
-
-    def __init__(self, group: PermGroup, prime: int, certificate: bool) -> None:
-        self.group = group
-        self.prime = prime
-        self.certificate = certificate
-
-
-def p_group_witness(group: PermGroup, p: int) -> PGroupWitness:
-    """Check whether |group| is a power of p (the trivial group qualifies)."""
-    _require_prime(p)
-    _, r = p_valuation(group.order(), p)
-    return PGroupWitness(group, p, r == 1)
-
-
 def _require_p_group(group: PermGroup, p: int, where: str) -> None:
-    if not p_group_witness(group, p).certificate:
+    """Raise unless |group| is a power of p (the trivial group qualifies)."""
+    _require_prime(p)
+    if p_valuation(group.order(), p)[1] != 1:
         raise WitnessError(
             f"{where} needs a {p}-group, got a group of order {group.order()}"
         )

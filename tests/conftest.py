@@ -23,12 +23,12 @@ from amalgamlab.group import (
     alternating_group,
     cyclic_group,
     dihedral_group,
-    direct_sum_gens,
     generate_group,
     symmetric_group,
 )
+from amalgamlab.graphs import Graph, graph_from_edges
 from amalgamlab.perm import Permutation
-from amalgamlab.structure import p_prime_part
+from amalgamlab.structure import p_part
 
 
 # --------------------------------------------------------------------------
@@ -294,6 +294,11 @@ def bfs_normal_subgroups(group: PermGroup) -> list[PermGroup]:
 # z -> z^p.  These scans generate the same subgroups from their definitions.
 
 
+def p_prime_part(g: Permutation, p: int) -> Permutation:
+    """The power of g whose order is g's order with all factors p removed."""
+    return g * p_part(g, p).inverse()
+
+
 def scan_o_upper_p(group: PermGroup, p: int) -> PermGroup:
     """O^p(G), generated by the p'-parts of all elements.  That generating
     set is closed under conjugation, so its span is normal."""
@@ -373,6 +378,35 @@ def oracle_pair_ball_series(graph, autos, x: int, y: int, r_max: int):
             sum(1 for a in autos if all(a[v] == v for v in ball))
         )
     return orders
+
+
+# --------------------------------------------------------------------------
+# input builders
+# --------------------------------------------------------------------------
+
+
+def direct_sum_gens(
+    left_degree: int, right_degree: int, left, right
+) -> list[Permutation]:
+    """Generators of the direct product acting on the disjoint union."""
+    ident_l = tuple(range(left_degree))
+    ident_r = tuple(range(left_degree, left_degree + right_degree))
+    return [Permutation(g.images + ident_r) for g in left] + [
+        Permutation(ident_l + tuple(left_degree + x for x in h.images))
+        for h in right
+    ]
+
+
+def cycle_graph(n: int) -> Graph:
+    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def format_graph(graph: Graph) -> str:
+    """The graph file format that `parse_graph` reads."""
+    edges = graph.edges()
+    lines = [f"{graph.vertex_count} {len(edges)}"]
+    lines.extend(f"{u} {v}" for u, v in edges)
+    return "\n".join(lines) + "\n"
 
 
 # --------------------------------------------------------------------------

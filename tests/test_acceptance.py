@@ -59,7 +59,7 @@ def test_acceptance_1_ordered_pairs_action():
 
     commutator = derived_subgroup(base)
     assert commutator.order() == 12
-    assert commutator.is_regular()
+    assert commutator.is_transitive() and commutator.is_semiregular()
     _verdict(1, started, 5, "pairs action degrees/orders, n=4 classification, [L,L] regular")
 
 

@@ -11,14 +11,12 @@ from amalgamlab.actions import (
     classify_action,
     induced_action,
     is_primitive,
-    is_semiregular_on,
     permutation_isomorphism,
 )
 from amalgamlab.group import (
     alternating_group,
     cyclic_group,
     dihedral_group,
-    direct_sum_gens,
     generate_group,
     symmetric_group,
     trivial_group,
@@ -68,15 +66,6 @@ def test_action_profile_knowns():
 
     p = action_profile(trivial_group(3))
     assert p.semiregular and not p.transitive
-
-
-def test_is_semiregular_on_subsets():
-    # No non-identity element of the group may fix a listed point.
-    assert is_semiregular_on(cyclic_group(5), (0, 3))
-    s3 = symmetric_group(3)
-    assert not is_semiregular_on(s3, (0,))  # (1 2) fixes 0
-    g = generate_group([perm("(0 1 2)", 5), perm("(3 4)", 5)])
-    assert not is_semiregular_on(g, (3, 4))  # (0 1 2) fixes both
 
 
 # -- block systems and primitivity -------------------------------------------

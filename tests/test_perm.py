@@ -5,6 +5,7 @@ import random
 import pytest
 
 from amalgamlab.errors import DegreeMismatchError, FormatError, GuardExceededError
+from amalgamlab.kernels import conjugate
 from amalgamlab.perm import (
     Permutation,
     format_group_file,
@@ -87,7 +88,7 @@ def test_conjugation_formula():
         degree = rng.randrange(2, 10)
         p = random_perm(rng, degree)
         g = random_perm(rng, degree)
-        c = p.conjugate_by(g)
+        c = conjugate(p.images, g.images)
         # x^g maps g(a) to g(p(a)).
         for a in range(degree):
             assert c[g[a]] == g[p[a]]
@@ -125,7 +126,8 @@ def test_image_csv_roundtrip():
     rng = random.Random(17)
     for _ in range(20):
         p = random_perm(rng, rng.randrange(1, 9))
-        assert parse_permutation(p.image_csv()).images == p.images
+        csv = ",".join(str(x) for x in p.images)
+        assert parse_permutation(csv).images == p.images
 
 
 def test_group_file_roundtrip():
@@ -149,6 +151,8 @@ def test_group_file_rejects_bad_header():
         parse_group_file("(0 1)\n")
     with pytest.raises(FormatError):
         parse_group_file("degree x\n(0 1)\n")
+    with pytest.raises(FormatError, match="^line 2: degree must be at least 1$"):
+        parse_group_file("# empty domain\ndegree 0\n")
     with pytest.raises(GuardExceededError) as info:
         parse_group_file("degree 1000000000000\n")
     assert (info.value.guard, info.value.needed) == ("degree", 10**12)

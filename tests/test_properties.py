@@ -20,7 +20,7 @@ from amalgamlab.group import commutator_subgroup, generate_group
 from amalgamlab.structure import (
     normal_subgroups,
     o_upper_p,
-    p_group_witness,
+    p_valuation,
     sylow,
     thompson_subgroup,
 )
@@ -52,8 +52,7 @@ def test_orbit_stabilizer_equality():
     for _ in range(CASES):
         g = random_group(rng)
         x = rng.randrange(g.degree)
-        orbit, stab = g.orbit_and_stabilizer(x)
-        assert len(orbit) * stab.order() == g.order()
+        assert len(g.orbit(x)) * g.stabilizer(x).order() == g.order()
 
 
 def test_core_equals_coset_action_kernel():
@@ -75,7 +74,7 @@ def test_p_radical_contains_every_normal_p_subgroup():
         for p in prime_divisors(g.order()):
             radical = o_p(g, p)
             for n in normal_subgroups(g):
-                if p_group_witness(n, p).certificate:
+                if p_valuation(n.order(), p)[1] == 1:
                     assert n.is_subgroup_of(radical)
 
 

@@ -22,8 +22,10 @@ import tempfile
 from pathlib import Path
 
 from amalgamlab.cli import cli_dispatch
-from amalgamlab.graphs import catalog_graph, format_graph
+from amalgamlab.graphs import catalog_graph
 from amalgamlab.perm import format_group_file
+
+from conftest import format_graph
 
 DATA = Path(__file__).resolve().parent / "data" / "readme_corpus.json"
 

@@ -6,14 +6,13 @@ from itertools import combinations
 import pytest
 
 from amalgamlab import structure
-from amalgamlab.errors import GuardExceededError
+from amalgamlab.errors import GuardExceededError, WitnessError
 from amalgamlab.group import (
     PermGroup,
     _Chain,
     alternating_group,
     cyclic_group,
     dihedral_group,
-    direct_sum_gens,
     generate_group,
     symmetric_group,
     trivial_group,
@@ -28,9 +27,7 @@ from amalgamlab.structure import (
     o_p,
     o_upper_p,
     omega1_center,
-    p_group_witness,
     p_part,
-    p_prime_part,
     p_valuation,
     sylow,
     thompson_subgroup,
@@ -41,8 +38,10 @@ from conftest import (
     bfs_normal_subgroups,
     compose_images,
     conjugate_images,
+    direct_sum_gens,
     element_set,
     mulclose,
+    p_prime_part,
     prime_divisors,
     random_group,
     random_perm,
@@ -113,10 +112,12 @@ def test_sylow_orders_and_witness():
         s = sylow(group, p)
         assert s.order() == order
         assert s.is_subgroup_of(group)
-        witness = p_group_witness(s, p)
-        assert witness.certificate
-    assert not p_group_witness(symmetric_group(3), 2).certificate
-    assert p_group_witness(trivial_group(3), 2).certificate
+    # The p-functors take only p-groups, the trivial group among them.
+    with pytest.raises(WitnessError, match="needs a 2-group"):
+        omega1_center(symmetric_group(3), 2)
+    with pytest.raises(ValueError, match="4 is not prime"):
+        omega1_center(trivial_group(3), 4)
+    assert omega1_center(trivial_group(3), 2).is_trivial()
 
 
 def test_sylow_on_random_groups():
@@ -520,9 +521,9 @@ def test_o_p_is_largest_normal_p_subgroup():
         for p in prime_divisors(g.order()):
             radical = o_p(g, p)
             assert radical.is_normal_in(g)
-            assert p_group_witness(radical, p).certificate
+            assert p_valuation(radical.order(), p)[1] == 1
             for n in normal_subgroups(g):
-                if p_group_witness(n, p).certificate:
+                if p_valuation(n.order(), p)[1] == 1:
                     assert n.is_subgroup_of(radical)
 
 

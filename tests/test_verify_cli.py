@@ -19,7 +19,7 @@ from amalgamlab.actions import classify_action
 from amalgamlab.amalgams import amalgam_from_pair, inflate_amalgam
 from amalgamlab.cli import build_parser, cli_dispatch
 from amalgamlab.errors import WitnessError
-from amalgamlab.graphs import catalog_graph, coset_graph, format_graph, pair_instance
+from amalgamlab.graphs import catalog_graph, coset_graph, pair_instance
 from amalgamlab.group import PermGroup, generate_group, symmetric_group, trivial_group
 from amalgamlab.pairs import build_ordered_pairs
 from amalgamlab.perm import format_group_file, parse_permutation
@@ -37,6 +37,7 @@ from amalgamlab.verify import (
     verify_theorem,
 )
 
+from conftest import format_graph
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -479,11 +480,13 @@ def test_cli_out_of_range_is_exit_2(capsys, argv, message):
         (("action", "classify", "--group"), "degree 1000000000000\n",
          "guard 'degree' exceeded: limit 100000, computation needs 1000000000000"),
         (("graph", "autos"), "1000000000000 0\n", "graph is not connected"),
+        (("action", "classify", "--group"), "degree 0\n",
+         "line 1: degree must be at least 1"),
     ],
 )
 def test_cli_huge_file_header_is_exit_2(capsys, tmp_path, argv, text, message):
     """A size in a file's header is checked before anything of that size is
-    allocated."""
+    allocated, and an empty domain is refused, not classified."""
     path = tmp_path / "input.txt"
     path.write_text(text)
     code, out, err = run_cli(capsys, *argv, str(path), "--json")
